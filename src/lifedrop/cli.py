@@ -21,7 +21,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arch1 | arch2 | arch3 | custom:<w1,w2,...>")
     train.add_argument("--reg", default="none", choices=KINDS)
     train.add_argument("--rate", type=float, default=0.5,
-                       help="drop rate for the fixed baselines / initial live density knob")
+                       help="drop rate for classical, gaussian and alpha; dynamic ignores it "
+                            "(its board starts at --lattice-density)")
     train.add_argument("--epochs", type=int, default=100)
     train.add_argument("--batch", type=int, default=512)
     train.add_argument("--lr", type=float, default=0.01)
@@ -36,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--patience", type=int, default=5)
     train.add_argument("--min-delta", type=float, default=1e-3)
     train.add_argument("--reactivation-fraction", type=float, default=0.1)
-    train.add_argument("--lattice-density", type=float, default=0.5)
+    train.add_argument("--lattice-density", type=float, default=0.5,
+                       help="initial live-cell density of the dynamic board")
     train.add_argument("--blob-classes", type=int, default=4)
     train.add_argument("--blob-dim", type=int, default=32)
     train.add_argument("--blob-per-class", type=int, default=500)

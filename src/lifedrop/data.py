@@ -97,15 +97,6 @@ def load_cifar10(directory) -> tuple[Dataset, Dataset]:
             Dataset(val_x, val_y, name="cifar10-validation", class_count=CIFAR_CLASSES))
 
 
-def one_hot(label: int, class_count: int) -> np.ndarray:
-    """Unit basis vector for `label`."""
-    if not 0 <= label < class_count:
-        raise ValueError(f"label {label} out of range for {class_count} classes")
-    vec = np.zeros(class_count)
-    vec[label] = 1.0
-    return vec
-
-
 def make_blobs(per_class: int, classes: int, dim: int, separation: float, seed: int) -> Dataset:
     """Axis-aligned Gaussian clusters rescaled into [0, 1].
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from lifedrop import nn
 from lifedrop.data import BatchPlan, Dataset, batches, load_cifar10, make_blobs
-from lifedrop.lattice import init_random, live_fraction, write_pbm
+from lifedrop.lattice import init_random, layer_mask, live_fraction, write_pbm
 from lifedrop.regularizers import (OverfitMonitor, RegularizerConfig, alpha_affine, classical_gain,
-                                   gaussian_gain, mask_for_epoch_dynamic, on_epoch_end_dynamic)
+                                   gaussian_gain, on_epoch_end_dynamic)
 from lifedrop.seeding import derive_seed
 
 ARCH_PRESETS = {
@@ -190,19 +190,18 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     plan = BatchPlan(batch_size=config.batch_size, seed=derive_seed(config.seed, "batches"))
     history: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
-        masks = None
+        scales = None
         live_frac = 0.0
         if lattice is not None:
-            masks = [mask_for_epoch_dynamic(lattice, l) for l in range(lattice.rows)]
+            scales = [(1.0 - layer_mask(lattice, l), None) for l in range(lattice.rows)]
             live_frac = live_fraction(lattice)
             if epoch in config.snapshot_epochs:
                 write_pbm(lattice, out / f"lattice_epoch_{epoch}.pbm")
 
         for batch_i, (x, y) in enumerate(batches(train_ds, plan, epoch)):
-            scales = None
             if reg.kind in ("classical", "gaussian", "alpha"):
                 scales = _batch_scales(network, reg, x.shape[0], epoch, batch_i)
-            _, trace = nn.forward(network, x, masks=masks, scales=scales)
+            _, trace = nn.forward(network, x, scales=scales)
             grads = nn.backward(network, trace, y)
             network = nn.sgd_step(network, grads, config.learning_rate)
 
@@ -281,9 +280,11 @@ def write_manifest(config: RunConfig, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def config_from_manifest(path, output_dir) -> RunConfig:
-    """Rebuild a RunConfig from a manifest written by write_manifest."""
+def _read_manifest(path) -> dict[str, str]:
+    """The `key = value` entries of a manifest file; blank lines are skipped."""
     path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"{path}: missing manifest file")
     entries = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
@@ -292,6 +293,12 @@ def config_from_manifest(path, output_dir) -> RunConfig:
         if not sep:
             raise ValueError(f"{path}:{lineno}: malformed manifest line {line!r}")
         entries[key] = value
+    return entries
+
+
+def config_from_manifest(path, output_dir) -> RunConfig:
+    """Rebuild a RunConfig from a manifest written by write_manifest."""
+    entries = _read_manifest(path)
     try:
         reg = RegularizerConfig(kind=entries["regularizer"], rate=float(entries["rate"]),
                                 lattice_density=float(entries["lattice_density"]),
@@ -317,18 +324,6 @@ def config_from_manifest(path, output_dir) -> RunConfig:
         raise ValueError(f"{path}: manifest is missing key {exc}") from None
 
 
-def _read_manifest_entries(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"{path}: missing manifest file")
-    entries = {}
-    for line in path.read_text().splitlines():
-        key, sep, value = line.partition(" = ")
-        if sep:
-            entries[key] = value
-    return entries
-
-
 def compare(run_dirs, out_path="summary.csv"):
     """Summarize finished runs into one CSV row each.
 
@@ -342,7 +337,7 @@ def compare(run_dirs, out_path="summary.csv"):
         history = read_metrics(run_dir / "metrics.csv")
         if not history:
             raise ValueError(f"{run_dir}: metrics.csv has no epoch rows")
-        manifest = _read_manifest_entries(run_dir / "manifest.txt")
+        manifest = _read_manifest(run_dir / "manifest.txt")
         kind = manifest.get("regularizer", "?")
         last = history[-1]
         rows.append((run_dir.name, kind, last.train_loss, last.val_loss,

@@ -1,6 +1,6 @@
 """Game-of-Life grid used as an evolving dropout mask.
 
-The grid has one row per maskable hidden layer and one column per unit.
+The grid has one row per hidden layer and one column per unit.
 A cell value of 1 means alive, and an alive cell drops the matching
 neuron. Cells outside the grid count as dead (no wrap-around), and all
 public operations return new lattices, so values can be shared freely
@@ -10,14 +10,8 @@ across threads and kept around as per-epoch snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-
-class CellCoord(NamedTuple):
-    i: int
-    j: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,22 +56,6 @@ class Lattice:
         return self.cells.shape == other.cells.shape and np.array_equal(self.cells, other.cells)
 
     __hash__ = None
-
-
-_NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-
-
-def neighbor_count(lattice: Lattice, at: CellCoord | tuple[int, int]) -> int:
-    """Number of live cells among the eight Moore neighbors of `at`."""
-    i, j = at
-    if not (0 <= i < lattice.rows and 0 <= j < lattice.cols):
-        raise ValueError(f"cell ({i}, {j}) out of bounds for {lattice.rows}x{lattice.cols} lattice")
-    total = 0
-    for di, dj in _NEIGHBOR_OFFSETS:
-        ni, nj = i + di, j + dj
-        if 0 <= ni < lattice.rows and 0 <= nj < lattice.cols:
-            total += int(lattice.cells[ni, nj])
-    return total
 
 
 def step(lattice: Lattice) -> Lattice:

@@ -1,11 +1,12 @@
 """Dense feed-forward engine.
 
 Float64 throughout. Layers compute z = a_prev @ W.T + b with W shaped
-(fan_out, fan_in); hidden layers optionally zero out units via a binary
-mask or rescale pre-activations via per-element gains (the stochastic
-dropout baselines) before ReLU. The output layer applies softmax and is
-never masked. Gradients are hand-written reverse mode; sgd_step returns
-a new Network, leaving the old value intact.
+(fan_out, fan_in); every hidden layer may map its pre-activations through
+an elementwise (gain, offset) pair before ReLU, which is how all the
+dropout variants act (a dropped unit has gain 0). The output layer
+applies softmax and is never regularized. Gradients are hand-written
+reverse mode; sgd_step returns a new Network, leaving the old value
+intact.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ _LOG_CLAMP = 1e-12  # floor applied to probabilities before log()
 class DenseLayer:
     weights: np.ndarray  # (fan_out, fan_in)
     bias: np.ndarray  # (fan_out,)
-    maskable: bool
 
     @property
     def fan_in(self) -> int:
@@ -50,10 +50,6 @@ class Network:
             fan_in = layer.fan_out
         if self.layers[-1].fan_out != self.class_count:
             raise ValueError("final layer width must equal class_count")
-        if self.layers[-1].maskable:
-            raise ValueError("output layer must not be maskable")
-        if any(not layer.maskable for layer in self.layers[:-1]):
-            raise ValueError("all hidden layers must be maskable")
 
     @property
     def hidden_layers(self) -> tuple[DenseLayer, ...]:
@@ -65,17 +61,15 @@ class ForwardTrace:
     """Every intermediate of one forward pass, kept for the backward pass.
 
     z, z_tilde and activations have one entry per layer (the final
-    activation is the softmax output). masks and gains have one entry per
-    hidden layer: masks holds the binary drop vector actually applied
-    (zeros when nothing fired) and gains the multiplicative factor on the
-    pre-activations (None means identity).
+    activation is the softmax output). gains has one entry per hidden
+    layer: the multiplicative factor applied to its pre-activations (None
+    means identity; a 0 marks a dropped unit).
     """
 
     inputs: np.ndarray
     z: tuple[np.ndarray, ...]
     z_tilde: tuple[np.ndarray, ...]
     activations: tuple[np.ndarray, ...]
-    masks: tuple[np.ndarray, ...]
     gains: tuple[np.ndarray | None, ...]
 
 
@@ -93,7 +87,7 @@ def init_network(arch: list[int], input_dim: int, class_count: int, seed: int) -
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
         weights = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights, np.zeros(fan_out), maskable=i < len(dims) - 2))
+        layers.append(DenseLayer(weights, np.zeros(fan_out)))
     return Network(tuple(layers), input_dim=dims[0], class_count=dims[-1])
 
 
@@ -130,61 +124,42 @@ def cross_entropy(y_true: np.ndarray, y_prob: np.ndarray) -> float:
     return float(np.mean(-(y_true * np.log(p)).sum(axis=1)))
 
 
-def _per_hidden_layer(seq, network: Network, what: str):
-    """Validate an optional per-hidden-layer argument list."""
-    if seq is None:
-        return None
-    items = list(seq)
-    n_hidden = len(network.layers) - 1
-    if len(items) == len(network.layers):
-        raise ValueError(f"{what} covers the output layer, which is never masked; "
-                         f"provide {n_hidden} entries, one per hidden layer")
-    if len(items) != n_hidden:
-        raise ValueError(f"{what} has {len(items)} entries, expected {n_hidden} (one per hidden layer)")
-    return items
-
-
-def forward(network: Network, batch: np.ndarray, masks=None, scales=None):
+def forward(network: Network, batch: np.ndarray, scales=None):
     """Run the network on a batch, returning (probabilities, trace).
 
-    masks: optional per-hidden-layer binary vectors; a 1 zeroes that
-    unit's pre-activation before ReLU. scales: optional per-hidden-layer
-    (gain, offset) arrays applied elementwise to pre-activations, used by
-    the stochastic baselines. At most one of the two may be given, and
-    neither ever touches the output layer.
+    scales: optional list with one (gain, offset) pair per hidden layer,
+    applied elementwise to that layer's pre-activations before ReLU as
+    z * gain + offset; an offset of None means no shift. Each entry
+    broadcasts against (batch, width): the dynamic mask passes one
+    (1 - mask) row per epoch, the noise baselines a fresh (batch, width)
+    draw per batch. The output layer is never scaled.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != network.input_dim:
         raise ValueError(f"expected batch of shape (n, {network.input_dim}), got {x.shape}")
-    if masks is not None and scales is not None:
-        raise ValueError("pass masks or scales, not both")
-    masks = _per_hidden_layer(masks, network, "masks")
-    scales = _per_hidden_layer(scales, network, "scales")
+    n_hidden = len(network.layers) - 1
+    if scales is not None:
+        scales = list(scales)
+        if len(scales) == len(network.layers):
+            raise ValueError(f"scales covers the output layer, which is never scaled; "
+                             f"provide {n_hidden} entries, one per hidden layer")
+        if len(scales) != n_hidden:
+            raise ValueError(f"scales has {len(scales)} entries, expected {n_hidden} (one per hidden layer)")
 
     a = x
-    zs, zts, acts, trace_masks, gains = [], [], [], [], []
-    n_hidden = len(network.layers) - 1
+    zs, zts, acts, gains = [], [], [], []
     for l, layer in enumerate(network.layers):
         z = dense_forward(layer, a)
         if l < n_hidden:
             gain = None
             zt = z
-            mask_vec = np.zeros(layer.fan_out)
-            if masks is not None and masks[l] is not None:
-                mask_vec = np.asarray(masks[l], dtype=np.float64).ravel()
-                if mask_vec.shape[0] != layer.fan_out:
-                    raise ValueError(f"mask for layer {l} has length {mask_vec.shape[0]}, "
-                                     f"expected {layer.fan_out}")
-                if not np.isin(mask_vec, (0.0, 1.0)).all():
-                    raise ValueError(f"mask for layer {l} must contain only 0 and 1")
-                gain = 1.0 - mask_vec
-                zt = z * gain
-            elif scales is not None and scales[l] is not None:
+            if scales is not None and scales[l] is not None:
                 gain, offset = scales[l]
                 gain = np.asarray(gain, dtype=np.float64)
+                if gain.ndim and gain.shape[-1] != layer.fan_out:
+                    raise ValueError(f"gain for layer {l} has width {gain.shape[-1]}, expected {layer.fan_out}")
                 zt = z * gain if offset is None else z * gain + offset
             a = relu(zt)
-            trace_masks.append(mask_vec)
             gains.append(gain)
         else:
             zt = z
@@ -193,16 +168,16 @@ def forward(network: Network, batch: np.ndarray, masks=None, scales=None):
         zts.append(zt)
         acts.append(a)
     trace = ForwardTrace(inputs=x, z=tuple(zs), z_tilde=tuple(zts), activations=tuple(acts),
-                         masks=tuple(trace_masks), gains=tuple(gains))
+                         gains=tuple(gains))
     return acts[-1], trace
 
 
 def backward(network: Network, trace: ForwardTrace, y_true: np.ndarray):
     """Gradients of mean cross-entropy w.r.t. every weight and bias.
 
-    Returns [(dW, db), ...] ordered like network.layers. Masks and gains
-    recorded in the trace are constants of the pass: a zeroed unit
-    propagates zero gradient through its pre-activation.
+    Returns [(dW, db), ...] ordered like network.layers. Gains recorded
+    in the trace are constants of the pass: a unit with gain 0 propagates
+    zero gradient through its pre-activation.
     """
     y = np.asarray(y_true, dtype=np.float64)
     if len(trace.z) != len(network.layers) or trace.inputs.shape[1] != network.input_dim:
@@ -238,9 +213,7 @@ def sgd_step(network: Network, gradients, learning_rate: float) -> Network:
     for layer, (dw, db) in zip(network.layers, gradients):
         if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
             raise ValueError("gradient shapes do not match network layers")
-        layers.append(DenseLayer(layer.weights - learning_rate * dw,
-                                 layer.bias - learning_rate * db,
-                                 maskable=layer.maskable))
+        layers.append(DenseLayer(layer.weights - learning_rate * dw, layer.bias - learning_rate * db))
     return Network(tuple(layers), network.input_dim, network.class_count)
 
 
@@ -279,6 +252,5 @@ def load_checkpoint(path) -> Network:
         raw_layers.append((weights, bias))
     if not raw_layers:
         raise ValueError(f"{path}: checkpoint holds no layers")
-    layers = tuple(DenseLayer(w, b, maskable=i < len(raw_layers) - 1)
-                   for i, (w, b) in enumerate(raw_layers))
+    layers = tuple(DenseLayer(w, b) for w, b in raw_layers)
     return Network(layers, input_dim=layers[0].fan_in, class_count=layers[-1].fan_out)

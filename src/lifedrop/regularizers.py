@@ -1,11 +1,12 @@
 """The four dropout strategies behind one config, plus the stagnation monitor.
 
-Classical, Gaussian and alpha dropout draw fresh noise per batch; the
-dynamic variant reads its per-layer masks off the Game-of-Life lattice,
-which advances one generation per epoch. All four are the identity in
-evaluation mode. Noise is applied at the same site as the dynamic mask
-(the pre-activations), so the comparison between strategies is
-site-controlled.
+Classical, Gaussian and alpha dropout draw fresh per-batch (gain, offset)
+noise; the dynamic variant's gain is 1 - mask, read off the Game-of-Life
+lattice, which advances one generation per epoch. Every variant acts
+through the same (gain, offset) pair on the pre-activations, so the
+comparison between strategies is site-controlled; evaluation applies
+none of them. The gain functions trust their rate to lie in [0, 1), the
+range RegularizerConfig enforces.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from lifedrop.lattice import Lattice, layer_mask, reactivate, step
+from lifedrop.lattice import Lattice, reactivate, step
 from lifedrop.seeding import derive_seed
 
 KINDS = ("none", "classical", "gaussian", "alpha", "dynamic")
@@ -76,21 +77,8 @@ def monitor_update(monitor: OverfitMonitor, val_loss: float) -> tuple[OverfitMon
     return replace(monitor, epochs_since_improvement=stalled), False
 
 
-def mask_for_epoch_dynamic(lattice: Lattice, layer_index: int, training: bool = True) -> np.ndarray:
-    """Drop mask for one hidden layer; evaluation always gets the zero mask."""
-    if not training:
-        return np.zeros(lattice.cols)
-    return layer_mask(lattice, layer_index)
-
-
-def _check_rate(rate: float) -> None:
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must lie in [0, 1), got {rate}")
-
-
 def classical_gain(shape, rate: float, seed: int) -> np.ndarray:
     """Per-element factor: 0 with probability rate, else 1/(1-rate)."""
-    _check_rate(rate)
     if rate == 0.0:
         return np.ones(shape)
     rng = np.random.default_rng(seed)
@@ -100,7 +88,6 @@ def classical_gain(shape, rate: float, seed: int) -> np.ndarray:
 
 def gaussian_gain(shape, rate: float, seed: int) -> np.ndarray:
     """Per-element multiplier ~ Normal(1, rate/(1-rate))."""
-    _check_rate(rate)
     if rate == 0.0:
         return np.ones(shape)
     rng = np.random.default_rng(seed)
@@ -115,7 +102,6 @@ def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     b = -a * (1-p) * ALPHA_PRIME, which preserves zero mean and unit
     variance of standard-normal input.
     """
-    _check_rate(rate)
     if rate == 0.0:
         return np.ones(shape), np.zeros(shape)
     p = 1.0 - rate
@@ -126,34 +112,6 @@ def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     gain = a * keep
     offset = a * ALPHA_PRIME * (1.0 - keep) + b
     return gain, offset
-
-
-def apply_classical(z: np.ndarray, rate: float, seed: int, training: bool) -> np.ndarray:
-    """Inverted dropout: zero units at `rate`, scale survivors by 1/(1-rate)."""
-    _check_rate(rate)
-    z = np.asarray(z, dtype=np.float64)
-    if not training or rate == 0.0:
-        return z
-    return z * classical_gain(z.shape, rate, seed)
-
-
-def apply_gaussian(z: np.ndarray, rate: float, seed: int, training: bool) -> np.ndarray:
-    """Multiplicative Gaussian noise with variance rate/(1-rate)."""
-    _check_rate(rate)
-    z = np.asarray(z, dtype=np.float64)
-    if not training or rate == 0.0:
-        return z
-    return z * gaussian_gain(z.shape, rate, seed)
-
-
-def apply_alpha(z: np.ndarray, rate: float, seed: int, training: bool) -> np.ndarray:
-    """Alpha dropout: keeps input statistics of standard-normal activations."""
-    _check_rate(rate)
-    z = np.asarray(z, dtype=np.float64)
-    if not training or rate == 0.0:
-        return z
-    gain, offset = alpha_affine(z.shape, rate, seed)
-    return z * gain + offset
 
 
 def on_epoch_end_dynamic(lattice: Lattice, monitor: OverfitMonitor, val_loss: float,

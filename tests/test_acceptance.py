@@ -33,8 +33,8 @@ from lifedrop.nn import DenseLayer, Network, backward, cross_entropy, forward, i
 from lifedrop.regularizers import (
     OverfitMonitor,
     RegularizerConfig,
-    apply_alpha,
-    apply_classical,
+    alpha_affine,
+    classical_gain,
     gaussian_gain,
     monitor_update,
 )
@@ -135,9 +135,11 @@ def _random_problem(seed: int, masked: bool):
     x = rng.standard_normal((batch, input_dim))
     y = np.eye(classes)[rng.integers(0, classes, size=batch)]
     masks = None
+    scales = None
     if masked:
         masks = [rng.integers(0, 2, size=w).astype(np.float64) for w in hidden]
-    _, trace = forward(network, x, masks=masks)
+        scales = [(1.0 - m, None) for m in masks]
+    _, trace = forward(network, x, scales=scales)
     for layer_index, zt in enumerate(trace.z_tilde[:-1]):
         keep = np.ones_like(zt, dtype=bool) if masks is None else np.tile(masks[layer_index] == 0, (batch, 1))
         if keep.any() and np.abs(zt[keep]).min() < 1e-3:
@@ -149,12 +151,12 @@ def _random_problem(seed: int, masked: bool):
     tiny = (np.abs(flat) > 0) & (np.abs(flat) < 1e-4)
     if tiny.any():
         return None
-    return network, x, y, masks, grads
+    return network, x, y, scales, grads
 
 
-def _numeric_gradients(network, x, y, masks, eps=1e-5):
+def _numeric_gradients(network, x, y, scales, eps=1e-5):
     def loss_of(net):
-        probs, _ = forward(net, x, masks=masks)
+        probs, _ = forward(net, x, scales=scales)
         return cross_entropy(y, probs)
 
     grads = []
@@ -171,9 +173,9 @@ def _numeric_gradients(network, x, y, masks, eps=1e-5):
                     bumped[idx] += sign * eps
                     layers = list(network.layers)
                     if arr is layer.weights:
-                        layers[l] = DenseLayer(bumped, layer.bias, layer.maskable)
+                        layers[l] = DenseLayer(bumped, layer.bias)
                     else:
-                        layers[l] = DenseLayer(layer.weights, bumped, layer.maskable)
+                        layers[l] = DenseLayer(layer.weights, bumped)
                     samples.append(loss_of(Network(tuple(layers), network.input_dim, network.class_count)))
                 grad[idx] = (samples[0] - samples[1]) / (2 * eps)
         grads.append((dw, db))
@@ -192,8 +194,8 @@ def test_gradients_match_finite_differences(capsys):
         problem = _random_problem(seed, masked=accepted % 2 == 1)
         if problem is None:
             continue
-        network, x, y, masks, analytic = problem
-        numeric = _numeric_gradients(network, x, y, masks)
+        network, x, y, scales, analytic = problem
+        numeric = _numeric_gradients(network, x, y, scales)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             for a, n in ((aw, nw), (ab, nb)):
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
@@ -211,7 +213,7 @@ def test_gradients_match_finite_differences(capsys):
 def test_regularizer_output_statistics(capsys):
     """Classical mean +-2% at 1e5 units; Gaussian var +-1% at 1e6; alpha moments at 1e6."""
     ones = np.ones((1, 100_000))
-    classical_mean = float(apply_classical(ones, rate=0.5, seed=11, training=True).mean())
+    classical_mean = float((ones * classical_gain(ones.shape, rate=0.5, seed=11)).mean())
     classical_ok = abs(classical_mean - 1.0) < 0.02
 
     gains = gaussian_gain((1_000_000,), rate=0.5, seed=12)
@@ -219,7 +221,8 @@ def test_regularizer_output_statistics(capsys):
     gaussian_ok = abs(gaussian_var - 1.0) < 0.01
 
     z = np.random.default_rng(13).standard_normal((1, 1_000_000))
-    out = apply_alpha(z, rate=0.5, seed=14, training=True)
+    gain, offset = alpha_affine(z.shape, rate=0.5, seed=14)
+    out = z * gain + offset
     alpha_mean = float(out.mean())
     alpha_var = float(out.var())
     alpha_ok = -0.02 <= alpha_mean <= 0.02 and 0.97 <= alpha_var <= 1.03

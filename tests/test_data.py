@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lifedrop.data import (FILE_BYTES, RECORD_BYTES, TEST_FILE, TRAIN_FILES, BatchPlan,
-                           CifarFormatError, Dataset, batches, load_cifar10, make_blobs, one_hot)
+                           CifarFormatError, Dataset, batches, load_cifar10, make_blobs)
 
 
 def lstsq_accuracy(train: Dataset, test: Dataset) -> float:
@@ -15,19 +15,6 @@ def lstsq_accuracy(train: Dataset, test: Dataset) -> float:
     w, *_ = np.linalg.lstsq(x, np.eye(train.class_count)[train.labels], rcond=None)
     scores = np.hstack([test.features, np.ones((test.n, 1))]) @ w
     return float((scores.argmax(axis=1) == test.labels).mean())
-
-
-class TestOneHot:
-    def test_examples(self):
-        e3 = one_hot(3, 10)
-        assert e3[3] == 1.0 and e3.sum() == 1.0
-        assert np.array_equal(one_hot(0, 2), [1.0, 0.0])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            one_hot(2, 2)
-        with pytest.raises(ValueError):
-            one_hot(-1, 2)
 
 
 class TestDatasetValue:

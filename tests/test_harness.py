@@ -56,8 +56,8 @@ class TestResolveArchitecture:
 
 class TestEvaluate:
     def uniform_network(self, dim, classes):
-        hidden = nn.DenseLayer(np.zeros((4, dim)), np.zeros(4), maskable=True)
-        out = nn.DenseLayer(np.zeros((classes, 4)), np.zeros(classes), maskable=False)
+        hidden = nn.DenseLayer(np.zeros((4, dim)), np.zeros(4))
+        out = nn.DenseLayer(np.zeros((classes, 4)), np.zeros(classes))
         return nn.Network((hidden, out), input_dim=dim, class_count=classes)
 
     def balanced_dataset(self, n, dim, classes):
@@ -76,7 +76,7 @@ class TestEvaluate:
 
     def test_confident_correct_single_sample(self):
         net = self.uniform_network(6, 10)
-        biased = nn.DenseLayer(np.zeros((10, 4)), np.r_[50.0, np.zeros(9)], maskable=False)
+        biased = nn.DenseLayer(np.zeros((10, 4)), np.r_[50.0, np.zeros(9)])
         net = nn.Network((net.layers[0], biased), input_dim=6, class_count=10)
         data = Dataset(np.random.default_rng(1).random((1, 6)), np.array([0]), name="one",
                        class_count=10)
@@ -175,6 +175,10 @@ class TestManifest:
         assert rebuilt.data_dir == "/data/cifar"
         assert rebuilt.regularizer == reg
         assert rebuilt.snapshot_epochs == ()
+
+    def test_missing_manifest_named(self, tmp_path):
+        with pytest.raises(ValueError, match="missing manifest"):
+            config_from_manifest(tmp_path / "absent.txt", output_dir=tmp_path)
 
 
 class TestRun:
@@ -348,6 +352,14 @@ class TestCompare:
         write_metrics([], d / "metrics.csv")
         write_manifest(blob_config(tmp_path, output_dir=d), d / "manifest.txt")
         with pytest.raises(ValueError, match="no epoch rows"):
+            compare([d], tmp_path / "s.csv")
+
+    def test_malformed_manifest_line_named(self, tmp_path):
+        d = self.fake_run(tmp_path, "garbled", 0.5, 0.4)
+        manifest = d / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "regularizer: dynamic\n")
+        lineno = len(manifest.read_text().splitlines())
+        with pytest.raises(ValueError, match=f"manifest.txt:{lineno}: malformed"):
             compare([d], tmp_path / "s.csv")
 
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from lifedrop.lattice import (CellCoord, Lattice, init_random, layer_mask, live_fraction,
-                              neighbor_count, reactivate, step, write_pbm)
+from lifedrop.lattice import Lattice, init_random, layer_mask, live_fraction, reactivate, step, write_pbm
 
 
 def grid(rows, cols, live=()):
@@ -67,35 +66,6 @@ class TestLatticeValue:
         assert a == b
         assert a != grid(2, 3, [(1, 1)])
         assert a != grid(3, 2, [(0, 1)])
-
-
-class TestNeighborCount:
-    def test_all_dead_grid_counts_zero(self):
-        lat = grid(5, 5)
-        assert neighbor_count(lat, CellCoord(2, 2)) == 0
-        assert neighbor_count(lat, CellCoord(0, 0)) == 0
-
-    def test_full_grid_center_counts_eight(self):
-        lat = Lattice(np.ones((3, 3), dtype=np.uint8))
-        assert neighbor_count(lat, CellCoord(1, 1)) == 8
-
-    def test_block_corner_counts_three(self):
-        # 2x2 block at rows 1-2, cols 1-2; (1,1) sees the other three cells.
-        assert neighbor_count(grid(4, 4, BLOCK), CellCoord(1, 1)) == 3
-
-    def test_excludes_the_cell_itself(self):
-        lat = grid(3, 3, [(1, 1)])
-        assert neighbor_count(lat, CellCoord(1, 1)) == 0
-
-    def test_boundary_neighbors_count_as_dead(self):
-        lat = Lattice(np.ones((2, 2), dtype=np.uint8))
-        assert neighbor_count(lat, CellCoord(0, 0)) == 3
-
-    def test_out_of_bounds_rejected(self):
-        lat = grid(3, 3)
-        for bad in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
-            with pytest.raises(ValueError):
-                neighbor_count(lat, bad)
 
 
 class TestStep:

@@ -9,11 +9,8 @@ from lifedrop import nn
 
 
 def toy_network(weight_lists, bias_lists):
-    layers = []
-    for i, (w, b) in enumerate(zip(weight_lists, bias_lists)):
-        layers.append(nn.DenseLayer(np.asarray(w, dtype=np.float64),
-                                    np.asarray(b, dtype=np.float64),
-                                    maskable=i < len(weight_lists) - 1))
+    layers = [nn.DenseLayer(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
+              for w, b in zip(weight_lists, bias_lists)]
     return nn.Network(tuple(layers), input_dim=layers[0].fan_in, class_count=layers[-1].fan_out)
 
 
@@ -21,12 +18,17 @@ def random_network(arch, input_dim, class_count, seed):
     return nn.init_network(list(arch), input_dim, class_count, seed=seed)
 
 
-def loss_of(network, x, y, masks=None, scales=None):
-    probs, _ = nn.forward(network, x, masks=masks, scales=scales)
+def mask_scales(masks):
+    """The dynamic regularizer's scales: a 1 in a binary mask drops that unit."""
+    return [(1.0 - np.asarray(m, dtype=np.float64), None) for m in masks]
+
+
+def loss_of(network, x, y, scales=None):
+    probs, _ = nn.forward(network, x, scales=scales)
     return nn.cross_entropy(y, probs)
 
 
-def numeric_grads(network, x, y, masks=None, scales=None, eps=1e-5):
+def numeric_grads(network, x, y, scales=None, eps=1e-5):
     """Central finite differences over every weight and bias."""
     grads = []
     for li, layer in enumerate(network.layers):
@@ -38,7 +40,7 @@ def numeric_grads(network, x, y, masks=None, scales=None, eps=1e-5):
             w_minus[idx] -= eps
             up = _with_layer(network, li, w_plus, layer.bias)
             down = _with_layer(network, li, w_minus, layer.bias)
-            dw[idx] = (loss_of(up, x, y, masks, scales) - loss_of(down, x, y, masks, scales)) / (2 * eps)
+            dw[idx] = (loss_of(up, x, y, scales) - loss_of(down, x, y, scales)) / (2 * eps)
         db = np.zeros_like(layer.bias)
         for j in range(layer.bias.shape[0]):
             b_plus = layer.bias.copy()
@@ -47,14 +49,14 @@ def numeric_grads(network, x, y, masks=None, scales=None, eps=1e-5):
             b_minus[j] -= eps
             up = _with_layer(network, li, layer.weights, b_plus)
             down = _with_layer(network, li, layer.weights, b_minus)
-            db[j] = (loss_of(up, x, y, masks, scales) - loss_of(down, x, y, masks, scales)) / (2 * eps)
+            db[j] = (loss_of(up, x, y, scales) - loss_of(down, x, y, scales)) / (2 * eps)
         grads.append((dw, db))
     return grads
 
 
 def _with_layer(network, index, weights, bias):
     layers = list(network.layers)
-    layers[index] = nn.DenseLayer(weights, bias, maskable=layers[index].maskable)
+    layers[index] = nn.DenseLayer(weights, bias)
     return nn.Network(tuple(layers), network.input_dim, network.class_count)
 
 
@@ -67,28 +69,27 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
-def min_abs_hidden_preactivation(network, x, masks=None, scales=None):
-    _, trace = nn.forward(network, x, masks=masks, scales=scales)
+def min_abs_hidden_preactivation(network, x, scales=None):
+    _, trace = nn.forward(network, x, scales=scales)
     return min(float(np.abs(zt).min()) for zt in trace.z_tilde[:-1])
 
 
 class TestDenseForward:
     def test_identity_weights(self):
-        layer = nn.DenseLayer(np.eye(2), np.zeros(2), maskable=True)
+        layer = nn.DenseLayer(np.eye(2), np.zeros(2))
         assert np.array_equal(nn.dense_forward(layer, [[3.0, -1.0]]), [[3.0, -1.0]])
 
     def test_hand_multiplied_example(self):
-        layer = nn.DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([10.0, 20.0]),
-                              maskable=True)
+        layer = nn.DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([10.0, 20.0]))
         assert np.array_equal(nn.dense_forward(layer, [[1.0, 1.0]]), [[13.0, 27.0]])
 
     def test_zero_weights_give_constant(self):
-        layer = nn.DenseLayer(np.zeros((1, 3)), np.array([5.0]), maskable=True)
+        layer = nn.DenseLayer(np.zeros((1, 3)), np.array([5.0]))
         out = nn.dense_forward(layer, np.random.default_rng(0).normal(size=(4, 3)))
         assert np.array_equal(out, np.full((4, 1), 5.0))
 
     def test_shape_mismatch_rejected(self):
-        layer = nn.DenseLayer(np.eye(2), np.zeros(2), maskable=True)
+        layer = nn.DenseLayer(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             nn.dense_forward(layer, [[1.0, 2.0, 3.0]])
 
@@ -185,7 +186,6 @@ class TestInitNetwork:
     def test_layer_shapes_and_maskability(self):
         net = nn.init_network([6, 5], 8, 3, seed=2)
         assert [(l.fan_in, l.fan_out) for l in net.layers] == [(8, 6), (6, 5), (5, 3)]
-        assert [l.maskable for l in net.layers] == [True, True, False]
         assert len(net.hidden_layers) == 2
 
     def test_zero_width_rejected(self):
@@ -197,15 +197,10 @@ class TestInitNetwork:
 
 class TestNetworkValidation:
     def test_chain_mismatch_rejected(self):
-        l0 = nn.DenseLayer(np.zeros((4, 3)), np.zeros(4), maskable=True)
-        l1 = nn.DenseLayer(np.zeros((2, 5)), np.zeros(2), maskable=False)
+        l0 = nn.DenseLayer(np.zeros((4, 3)), np.zeros(4))
+        l1 = nn.DenseLayer(np.zeros((2, 5)), np.zeros(2))
         with pytest.raises(ValueError):
             nn.Network((l0, l1), input_dim=3, class_count=2)
-
-    def test_maskable_output_rejected(self):
-        l0 = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), maskable=True)
-        with pytest.raises(ValueError):
-            nn.Network((l0,), input_dim=3, class_count=2)
 
 
 class TestForward:
@@ -213,14 +208,15 @@ class TestForward:
         net = random_network([5, 4], 6, 3, seed=8)
         x = np.random.default_rng(1).normal(size=(4, 6))
         plain, _ = nn.forward(net, x)
-        masked, _ = nn.forward(net, x, masks=[np.zeros(5), np.zeros(4)])
+        masked, _ = nn.forward(net, x, scales=mask_scales([np.zeros(5), np.zeros(4)]))
         assert np.array_equal(plain, masked)
 
     def test_all_ones_mask_silences_layer(self):
         net = random_network([5, 4], 6, 3, seed=8)
         x = np.random.default_rng(2).normal(size=(3, 6))
-        _, trace = nn.forward(net, x, masks=[np.ones(5), np.zeros(4)])
+        _, trace = nn.forward(net, x, scales=mask_scales([np.ones(5), np.zeros(4)]))
         assert np.array_equal(trace.activations[0], np.zeros((3, 5)))
+        assert np.array_equal(trace.gains[0], np.zeros(5))
 
     def test_single_masked_unit_equals_zeroed_outgoing_weights(self):
         # Dropping unit u of layer 0 must match deleting its outgoing
@@ -229,7 +225,7 @@ class TestForward:
         x = np.random.default_rng(3).normal(size=(4, 6))
         mask = np.zeros(5)
         mask[2] = 1.0
-        masked, _ = nn.forward(net, x, masks=[mask, np.zeros(4)])
+        masked, _ = nn.forward(net, x, scales=mask_scales([mask, np.zeros(4)]))
 
         cut = net.layers[1].weights.copy()
         cut[:, 2] = 0.0
@@ -242,7 +238,8 @@ class TestForward:
         # identical to relu of the zeroed pre-activation.
         net = toy_network([[[1.0], [-1.0]], [[1.0, 1.0], [2.0, 2.0]]],
                           [[0.0, 0.0], [0.0, 0.0]])
-        _, trace = nn.forward(net, [[3.0]], masks=[np.array([1.0, 0.0])])
+        _, trace = nn.forward(net, [[3.0]], scales=mask_scales([[1.0, 0.0]]))
+        assert np.array_equal(trace.gains[0], [0.0, 1.0])
         assert np.array_equal(trace.z_tilde[0], [[0.0, -3.0]])
         assert np.array_equal(trace.activations[0], [[0.0, 0.0]])
 
@@ -253,33 +250,21 @@ class TestForward:
         for zt, act in zip(trace.z_tilde[:-1], trace.activations[:-1]):
             assert np.array_equal(act, np.maximum(zt, 0.0))
         assert trace.gains == (None, None)
-        assert all(np.array_equal(m, 0.0 * m) for m in trace.masks)
 
     def test_mask_for_output_layer_rejected(self):
         net = random_network([5], 6, 3, seed=8)
         with pytest.raises(ValueError, match="output layer"):
-            nn.forward(net, np.zeros((2, 6)), masks=[np.zeros(5), np.zeros(3)])
+            nn.forward(net, np.zeros((2, 6)), scales=mask_scales([np.zeros(5), np.zeros(3)]))
 
     def test_wrong_mask_count_rejected(self):
         net = random_network([5, 4, 3], 6, 2, seed=8)
         with pytest.raises(ValueError, match="entries"):
-            nn.forward(net, np.zeros((2, 6)), masks=[np.zeros(5)])
+            nn.forward(net, np.zeros((2, 6)), scales=mask_scales([np.zeros(5)]))
 
     def test_wrong_mask_length_rejected(self):
         net = random_network([5], 6, 3, seed=8)
-        with pytest.raises(ValueError, match="length"):
-            nn.forward(net, np.zeros((2, 6)), masks=[np.zeros(4)])
-
-    def test_non_binary_mask_rejected(self):
-        net = random_network([5], 6, 3, seed=8)
-        with pytest.raises(ValueError, match="0 and 1"):
-            nn.forward(net, np.zeros((2, 6)), masks=[np.full(5, 0.5)])
-
-    def test_masks_and_scales_together_rejected(self):
-        net = random_network([5], 6, 3, seed=8)
-        with pytest.raises(ValueError, match="not both"):
-            nn.forward(net, np.zeros((2, 6)), masks=[np.zeros(5)],
-                       scales=[(np.ones((2, 5)), None)])
+        with pytest.raises(ValueError, match="width"):
+            nn.forward(net, np.zeros((2, 6)), scales=mask_scales([np.zeros(4)]))
 
     def test_scales_rescale_preactivations(self):
         net = random_network([5], 6, 3, seed=9)
@@ -311,7 +296,7 @@ class TestBackward:
         net = random_network([4, 4], 5, 3, seed=15)
         x = np.random.default_rng(8).normal(size=(3, 5))
         y = np.eye(3)[[0, 1, 2]]
-        _, trace = nn.forward(net, x, masks=[np.ones(4), np.zeros(4)])
+        _, trace = nn.forward(net, x, scales=mask_scales([np.ones(4), np.zeros(4)]))
         grads = nn.backward(net, trace, y)
         assert np.array_equal(grads[0][0], np.zeros((4, 5)))
         assert np.array_equal(grads[0][1], np.zeros(4))
@@ -335,13 +320,14 @@ class TestBackward:
         x = rng.normal(size=(2, 3)) * 2.0
         y = np.eye(2)[[0, 1]]
         masks = [np.array([0.0, 1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])]
-        _, trace = nn.forward(net, x, masks=masks)
+        scales = mask_scales(masks)
+        _, trace = nn.forward(net, x, scales=scales)
         # unmasked units must sit clear of the ReLU kink or finite
         # differences pick up O(eps) crossing error
-        clears = [np.abs(zt[:, m == 0]).min() for zt, m in zip(trace.z_tilde[:-1], trace.masks)]
+        clears = [np.abs(zt[:, g == 1]).min() for zt, g in zip(trace.z_tilde[:-1], trace.gains)]
         assert min(clears) > 1e-3
         analytic = nn.backward(net, trace, y)
-        assert max_relative_error(analytic, numeric_grads(net, x, y, masks=masks)) < 1e-6
+        assert max_relative_error(analytic, numeric_grads(net, x, y, scales=scales)) < 1e-6
 
     def test_matches_finite_differences_with_scales(self):
         net = random_network([4], 3, 2, seed=17)
@@ -411,7 +397,6 @@ class TestCheckpoint:
         for a, b in zip(loaded.layers, net.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
-            assert a.maskable == b.maskable
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from lifedrop.lattice import Lattice, init_random, step
+from lifedrop import harness, nn
+from lifedrop.harness import BlobSpec, RunConfig, evaluate
+from lifedrop.lattice import Lattice, init_random, layer_mask, step
 from lifedrop.regularizers import (ALPHA_PRIME, OverfitMonitor, RegularizerConfig, alpha_affine,
-                                   apply_alpha, apply_classical, apply_gaussian, classical_gain,
-                                   gaussian_gain, mask_for_epoch_dynamic, monitor_update,
+                                   classical_gain, gaussian_gain, monitor_update,
                                    on_epoch_end_dynamic)
+from lifedrop.seeding import derive_seed
 
 
 class TestRegularizerConfig:
@@ -96,70 +98,90 @@ class TestMonitor:
 
 
 class TestDynamicMask:
+    """The board as training applies it: row l of the lattice gives layer l the gain 1 - mask."""
+
+    def scales(self, lattice):
+        return [(1.0 - layer_mask(lattice, l), None) for l in range(lattice.rows)]
+
     def test_extinct_lattice_masks_nothing(self):
-        lat = Lattice(np.zeros((3, 6), dtype=np.uint8))
-        for l in range(3):
-            assert np.array_equal(mask_for_epoch_dynamic(lat, l), np.zeros(6))
+        net = nn.init_network([6, 6, 6], 5, 3, seed=1)
+        x = np.random.default_rng(0).normal(size=(4, 5))
+        plain, _ = nn.forward(net, x)
+        masked, _ = nn.forward(net, x, scales=self.scales(Lattice(np.zeros((3, 6), dtype=np.uint8))))
+        assert np.array_equal(plain, masked)
 
     def test_saturated_lattice_masks_everything(self):
-        lat = Lattice(np.ones((2, 4), dtype=np.uint8))
-        for l in range(2):
-            assert np.array_equal(mask_for_epoch_dynamic(lat, l), np.ones(4))
+        net = nn.init_network([4, 4], 5, 3, seed=2)
+        x = np.random.default_rng(1).normal(size=(3, 5))
+        _, trace = nn.forward(net, x, scales=self.scales(Lattice(np.ones((2, 4), dtype=np.uint8))))
+        for act in trace.activations[:-1]:
+            assert np.array_equal(act, np.zeros((3, 4)))
 
     def test_per_layer_read_off(self):
         cells = np.zeros((3, 4), dtype=np.uint8)
         cells[1, 0] = 1
         cells[2] = 1
-        lat = Lattice(cells)
-        assert np.array_equal(mask_for_epoch_dynamic(lat, 0), [0, 0, 0, 0])
-        assert np.array_equal(mask_for_epoch_dynamic(lat, 1), [1, 0, 0, 0])
-        assert np.array_equal(mask_for_epoch_dynamic(lat, 2), [1, 1, 1, 1])
+        net = nn.init_network([4, 4, 4], 5, 3, seed=3)
+        x = np.random.default_rng(2).normal(size=(2, 5))
+        _, trace = nn.forward(net, x, scales=self.scales(Lattice(cells)))
+        assert [g.tolist() for g in trace.gains] == [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 0]]
+        for zt, z, row in zip(trace.z_tilde[:-1], trace.z[:-1], cells):
+            assert np.array_equal(zt[:, row == 1], np.zeros((2, int(row.sum()))))
+            assert np.array_equal(zt[:, row == 0], z[:, row == 0])
 
-    def test_evaluation_mode_is_unmasked(self):
-        lat = Lattice(np.ones((2, 4), dtype=np.uint8))
-        assert np.array_equal(mask_for_epoch_dynamic(lat, 0, training=False), np.zeros(4))
+    def test_evaluation_mode_is_unmasked(self, tmp_path, monkeypatch):
+        # A one-epoch dynamic run: the losses it records must be those of the
+        # plain, unscaled forward pass, which differs from the masked one.
+        evaluated = []
+
+        def spy(network, dataset, chunk=4096):
+            evaluated.append((network, dataset))
+            return evaluate(network, dataset, chunk)
+
+        monkeypatch.setattr(harness, "evaluate", spy)
+        blobs = BlobSpec(per_class=60, classes=3, dim=8, separation=8.0)
+        reg = RegularizerConfig(kind="dynamic", lattice_density=0.5, seed=5)
+        config = RunConfig(architecture=[8], regularizer=reg, output_dir=tmp_path, epochs=1,
+                           batch_size=64, learning_rate=0.2, seed=5, snapshot_epochs=(), blobs=blobs)
+        history = harness.run(config)
+        (network, train), (_, val) = evaluated
+        board = init_random(1, 8, 0.5, seed=derive_seed(config.seed, "lattice"))
+        assert board.live_count > 0
+        for dataset, loss in ((train, history[0].train_loss), (val, history[0].val_loss)):
+            y = np.eye(dataset.class_count)[dataset.labels]
+            plain, _ = nn.forward(network, dataset.features)
+            assert abs(nn.cross_entropy(y, plain) - loss) < 1e-12
+            masked, _ = nn.forward(network, dataset.features, scales=self.scales(board))
+            assert abs(nn.cross_entropy(y, masked) - loss) > 1e-6
 
 
 class TestClassical:
     def test_rate_zero_is_identity(self):
         z = np.random.default_rng(0).normal(size=(3, 5))
-        assert np.array_equal(apply_classical(z, 0.0, seed=1, training=True), z)
-
-    def test_evaluation_mode_is_identity(self):
-        z = np.random.default_rng(1).normal(size=(3, 5))
-        assert np.array_equal(apply_classical(z, 0.9, seed=1, training=False), z)
+        assert np.array_equal(z * classical_gain(z.shape, 0.0, seed=1), z)
 
     def test_inverted_scaling_keeps_the_mean(self):
-        out = apply_classical(np.ones((1, 100_000)), 0.5, seed=7, training=True)
+        out = classical_gain((1, 100_000), 0.5, seed=7)
         assert 0.98 <= out.mean() <= 1.02
 
     def test_survivors_scaled_exactly(self):
-        out = apply_classical(np.ones((1, 1000)), 0.2, seed=3, training=True)
+        out = classical_gain((1, 1000), 0.2, seed=3)
         assert set(np.round(np.unique(out), 12)) == {0.0, 1.25}
 
     def test_drop_fraction_near_rate(self):
-        out = apply_classical(np.ones((1, 100_000)), 0.3, seed=9, training=True)
+        out = classical_gain((1, 100_000), 0.3, seed=9)
         assert abs((out == 0).mean() - 0.3) < 0.01
 
     def test_deterministic_per_seed(self):
-        z = np.random.default_rng(2).normal(size=(4, 6))
-        a = apply_classical(z, 0.5, seed=42, training=True)
-        b = apply_classical(z, 0.5, seed=42, training=True)
+        a = classical_gain((4, 6), 0.5, seed=42)
+        b = classical_gain((4, 6), 0.5, seed=42)
         assert np.array_equal(a, b)
-
-    def test_rate_one_rejected_even_in_eval(self):
-        with pytest.raises(ValueError):
-            apply_classical(np.ones((1, 4)), 1.0, seed=0, training=False)
 
 
 class TestGaussian:
     def test_rate_zero_is_identity(self):
         z = np.random.default_rng(3).normal(size=(2, 8))
-        assert np.array_equal(apply_gaussian(z, 0.0, seed=1, training=True), z)
-
-    def test_evaluation_mode_is_identity(self):
-        z = np.random.default_rng(4).normal(size=(2, 8))
-        assert np.array_equal(apply_gaussian(z, 0.5, seed=1, training=False), z)
+        assert np.array_equal(z * gaussian_gain(z.shape, 0.0, seed=1), z)
 
     def test_multiplier_statistics(self):
         gains = gaussian_gain((1_000_000,), 0.5, seed=11)
@@ -174,17 +196,15 @@ class TestGaussian:
 class TestAlpha:
     def test_rate_zero_is_identity(self):
         z = np.random.default_rng(5).normal(size=(2, 8))
-        assert np.array_equal(apply_alpha(z, 0.0, seed=1, training=True), z)
+        gain, offset = alpha_affine(z.shape, 0.0, seed=1)
+        assert np.array_equal(z * gain + offset, z)
         gain, offset = alpha_affine((3,), 0.0, seed=1)
         assert np.array_equal(gain, np.ones(3)) and np.array_equal(offset, np.zeros(3))
 
-    def test_evaluation_mode_is_identity(self):
-        z = np.random.default_rng(6).normal(size=(2, 8))
-        assert np.array_equal(apply_alpha(z, 0.5, seed=1, training=False), z)
-
     def test_preserves_standard_normal_statistics(self):
         z = np.random.default_rng(13).standard_normal(1_000_000)
-        out = apply_alpha(z, 0.5, seed=14, training=True)
+        gain, offset = alpha_affine(z.shape, 0.5, seed=14)
+        out = z * gain + offset
         assert -0.02 <= out.mean() <= 0.02
         assert 0.97 <= out.var() <= 1.03
 
