@@ -2,9 +2,11 @@
 
 Reads the canonical CIFAR-10 binary distribution (six files of 10,000
 records; each record is 1 label byte followed by 3072 pixel bytes laid
-out as three 1024-byte channel planes, row-major). Pixels are scaled
-into [0, 1] by dividing by 255; no other preprocessing. A synthetic
-Gaussian-blob generator stands in for fast, offline tests.
+out as three 1024-byte channel planes, row-major). The pixels stay in
+memory as their raw bytes; `Dataset.rows` scales each batch or
+evaluation chunk into [0, 1] by dividing by 255 as it is read, so only
+compute is float64. No other preprocessing. A synthetic Gaussian-blob
+generator stands in for fast, offline tests.
 """
 
 from __future__ import annotations
@@ -31,13 +33,25 @@ class CifarFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (n, dim) float64 in [0, 1]
+    """Labelled feature rows.
+
+    uint8 features are kept as they are and mean byte / 255: the
+    CIFAR-10 train and validation splits hold about 176 MiB of bytes
+    rather than 1.4 GiB of float64. (A uint8 input used to be cast to
+    floats in 0..255.) Any other dtype is coerced to float64, without a
+    copy when it already is float64. Read features through `rows`, which
+    returns float64.
+    """
+
+    features: np.ndarray  # (n, dim) uint8 bytes or float64; read through rows()
     labels: np.ndarray  # (n,) int64
     name: str
     class_count: int
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)
+        if features.dtype != np.uint8:
+            features = features.astype(np.float64, copy=False)
         labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
@@ -54,6 +68,18 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
+    def rows(self, index, out=None) -> np.ndarray:
+        """float64 feature rows `features[index]`.
+
+        Bytes are converted as byte / 255.0, into `out` when it is given.
+        float64 features are returned as stored (a view for a slice) and
+        leave `out` unused.
+        """
+        x = self.features[index]
+        if x.dtype != np.uint8:
+            return x
+        return np.divide(x, 255.0, out=out, dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class BatchPlan:
@@ -65,20 +91,21 @@ class BatchPlan:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
 
-def _read_batch_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
+def _read_batch_file(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
+    """Check one batch file and copy its pixel bytes and labels into the given rows."""
     if not path.is_file():
         raise CifarFormatError(f"{path}: missing CIFAR-10 batch file")
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size != FILE_BYTES:
         raise CifarFormatError(f"{path}: expected {FILE_BYTES} bytes, found {raw.size}")
     records = raw.reshape(RECORDS_PER_FILE, RECORD_BYTES)
-    labels = records[:, 0]
-    bad = np.flatnonzero(labels > 9)
+    label_bytes = records[:, 0]
+    bad = np.flatnonzero(label_bytes > 9)
     if bad.size:
         record = int(bad[0])
-        raise CifarFormatError(f"{path}: label byte {labels[record]} > 9 at offset {record * RECORD_BYTES}")
-    features = records[:, 1:].astype(np.float64) / 255.0
-    return features, labels.astype(np.int64)
+        raise CifarFormatError(f"{path}: label byte {label_bytes[record]} > 9 at offset {record * RECORD_BYTES}")
+    features[...] = records[:, 1:]
+    labels[...] = label_bytes
 
 
 def load_cifar10(directory) -> tuple[Dataset, Dataset]:
@@ -86,13 +113,17 @@ def load_cifar10(directory) -> tuple[Dataset, Dataset]:
 
     Train is the 50,000 samples of data_batch_1..5.bin; validation is the
     10,000-sample test_batch.bin (the held-out split all metrics are
-    reported on).
+    reported on). Features are kept as uint8 pixel bytes.
     """
-    base = Path(directory)
-    parts = [_read_batch_file(base / name) for name in TRAIN_FILES]
-    train_x = np.concatenate([x for x, _ in parts])
-    train_y = np.concatenate([y for _, y in parts])
-    val_x, val_y = _read_batch_file(base / TEST_FILE)
+    base = Path(directory).expanduser()
+    train_x = np.empty((len(TRAIN_FILES) * RECORDS_PER_FILE, FEATURE_DIM), dtype=np.uint8)
+    train_y = np.empty(len(TRAIN_FILES) * RECORDS_PER_FILE, dtype=np.int64)
+    for i, name in enumerate(TRAIN_FILES):
+        part = slice(i * RECORDS_PER_FILE, (i + 1) * RECORDS_PER_FILE)
+        _read_batch_file(base / name, train_x[part], train_y[part])
+    val_x = np.empty((RECORDS_PER_FILE, FEATURE_DIM), dtype=np.uint8)
+    val_y = np.empty(RECORDS_PER_FILE, dtype=np.int64)
+    _read_batch_file(base / TEST_FILE, val_x, val_y)
     return (Dataset(train_x, train_y, name="cifar10-train", class_count=CIFAR_CLASSES),
             Dataset(val_x, val_y, name="cifar10-validation", class_count=CIFAR_CLASSES))
 
@@ -135,4 +166,4 @@ def batches(dataset: Dataset, plan: BatchPlan, epoch: int):
     eye = np.eye(dataset.class_count)
     for start in range(0, dataset.n, plan.batch_size):
         idx = order[start:start + plan.batch_size]
-        yield dataset.features[idx], eye[dataset.labels[idx]]
+        yield dataset.rows(idx), eye[dataset.labels[idx]]

@@ -102,7 +102,12 @@ def _architecture_label(arch) -> str:
 
 
 def evaluate(network: nn.Network, dataset: Dataset, chunk: int = 4096) -> tuple[float, float]:
-    """Full-dataset loss and accuracy with every regularizer disabled."""
+    """Full-dataset loss and accuracy with every regularizer disabled.
+
+    The rows are read in chunks of `chunk`. Stored bytes are scaled into
+    one float64 chunk buffer that every chunk reuses; float64 features
+    are read in place, with no buffer.
+    """
     if dataset.features.shape[1] != network.input_dim:
         raise ValueError(f"dataset dimension {dataset.features.shape[1]} does not match "
                          f"network input {network.input_dim}")
@@ -111,9 +116,13 @@ def evaluate(network: nn.Network, dataset: Dataset, chunk: int = 4096) -> tuple[
     eye = np.eye(dataset.class_count)
     loss_sum = 0.0
     hits = 0
+    buffer = None
+    if dataset.features.dtype == np.uint8:
+        buffer = np.empty((min(chunk, dataset.n), network.input_dim))
     for start in range(0, dataset.n, chunk):
-        x = dataset.features[start:start + chunk]
         y = dataset.labels[start:start + chunk]
+        out = None if buffer is None else buffer[:y.shape[0]]
+        x = dataset.rows(slice(start, start + chunk), out=out)
         probs, _ = nn.forward(network, x)
         loss_sum += nn.cross_entropy(eye[y], probs) * x.shape[0]
         hits += int((probs.argmax(axis=1) == y).sum())

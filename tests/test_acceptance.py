@@ -390,8 +390,9 @@ def test_cifar_ingestion_and_truncation_failure(capsys, cifar_dir, tmp_path):
     counts_ok = train.n == 50_000 and val.n == 10_000
     per_class_ok = (np.bincount(train.labels, minlength=10).tolist() == [5_000] * 10
                     and np.bincount(val.labels, minlength=10).tolist() == [1_000] * 10)
-    range_ok = (float(train.features.min()) >= 0.0 and float(train.features.max()) <= 1.0
-                and float(val.features.min()) >= 0.0 and float(val.features.max()) <= 1.0)
+    train_x, val_x = train.rows(slice(None)), val.rows(slice(None))
+    range_ok = (float(train_x.min()) >= 0.0 and float(train_x.max()) <= 1.0
+                and float(val_x.min()) >= 0.0 and float(val_x.max()) <= 1.0)
 
     broken = tmp_path / "truncated-corpus"
     broken.mkdir()
@@ -408,5 +409,5 @@ def test_cifar_ingestion_and_truncation_failure(capsys, cifar_dir, tmp_path):
 
     ok = counts_ok and per_class_ok and range_ok and truncation_ok
     _report(capsys, ok, "CIFAR-10 ingestion",
-            f"counts={counts_ok} per-class={per_class_ok} range=[{train.features.min():.3f},"
-            f"{train.features.max():.3f}] truncation-fails={truncation_ok}")
+            f"counts={counts_ok} per-class={per_class_ok} range=[{train_x.min():.3f},"
+            f"{train_x.max():.3f}] truncation-fails={truncation_ok}")

@@ -1,5 +1,6 @@
 """Dataset ingestion, blobs, and batching tests."""
 
+import re
 import shutil
 
 import numpy as np
@@ -25,6 +26,52 @@ class TestDatasetValue:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), np.array([0]), name="x", class_count=2)
+
+    def test_float64_features_are_not_copied(self):
+        x = np.random.default_rng(0).random((4, 3))
+        d = Dataset(x, np.zeros(4), name="x", class_count=1)
+        assert np.shares_memory(d.features, x)
+        assert np.shares_memory(d.rows(slice(1, 3)), x)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_other_dtypes_coerced_to_float64(self, dtype):
+        x = np.arange(6, dtype=dtype).reshape(2, 3)
+        d = Dataset(x, np.zeros(2), name="x", class_count=1)
+        assert d.features.dtype == np.float64
+        assert np.array_equal(d.rows(slice(None)), np.arange(6.0).reshape(2, 3))
+
+    def test_uint8_features_mean_bytes_over_255(self):
+        x = np.array([[0, 51, 255]], dtype=np.uint8)
+        d = Dataset(x, np.zeros(1), name="x", class_count=1)
+        assert d.features.dtype == np.uint8
+        assert np.array_equal(d.rows(slice(None)), [[0.0, 0.2, 1.0]])
+
+
+class TestRows:
+    """rows() against the widening formula, for every byte value."""
+
+    def dataset(self):
+        raw = np.arange(256, dtype=np.uint8).reshape(32, 8)
+        return Dataset(raw, np.zeros(32), name="bytes", class_count=1), raw.astype(np.float64) / 255.0
+
+    def test_slice_is_bitwise_exact(self):
+        d, expected = self.dataset()
+        got = d.rows(slice(None))
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+        assert d.rows(slice(5, 9)).tobytes() == expected[5:9].tobytes()
+
+    def test_fancy_index_is_bitwise_exact(self):
+        d, expected = self.dataset()
+        idx = np.random.default_rng(3).permutation(32)
+        assert d.rows(idx).tobytes() == expected[idx].tobytes()
+
+    def test_out_receives_the_rows(self):
+        d, expected = self.dataset()
+        out = np.full((32, 8), np.nan)
+        got = d.rows(slice(None), out=out)
+        assert got is out and out.tobytes() == expected.tobytes()
+        short = np.full((3, 8), np.nan)
+        assert d.rows(slice(29, None), out=short).tobytes() == expected[29:].tobytes()
 
 
 class TestMakeBlobs:
@@ -123,17 +170,35 @@ class TestLoadCifar10:
 
     def test_value_range_and_endpoints(self, cifar_dir, using_real_cifar):
         train, _ = load_cifar10(cifar_dir)
-        assert train.features.min() >= 0.0 and train.features.max() <= 1.0
-        assert not np.isnan(train.features).any()
+        x = train.rows(slice(None))
+        assert x.min() >= 0.0 and x.max() <= 1.0
+        assert not np.isnan(x).any()
         if not using_real_cifar:
             # the generated corpus pins record 0 all-white and record 1 all-black
-            assert np.array_equal(train.features[0], np.ones(3072))
-            assert np.array_equal(train.features[1], np.zeros(3072))
+            assert np.array_equal(x[0], np.ones(3072))
+            assert np.array_equal(x[1], np.zeros(3072))
 
     def test_byte_255_maps_to_exactly_one(self, cifar_dir):
         train, _ = load_cifar10(cifar_dir)
-        top = train.features.max()
+        top = train.rows(slice(None)).max()
         assert top == 1.0  # 255/255, no rounding residue
+
+    def test_pixels_held_as_contiguous_bytes(self, cifar_dir):
+        train, val = load_cifar10(cifar_dir)
+        for d in (train, val):
+            assert d.features.dtype == np.uint8 and d.features.flags.c_contiguous
+        assert train.features.nbytes == 50_000 * 3072
+
+    def test_home_directory_expanded(self, cifar_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        (tmp_path / "corpus").mkdir()
+        for name in (*TRAIN_FILES, TEST_FILE):
+            (tmp_path / "corpus" / name).symlink_to(cifar_dir / name)
+        train, val = load_cifar10("~/corpus")
+        assert train.n == 50_000 and val.n == 10_000
+        missing = re.escape(str(tmp_path / "absent" / TRAIN_FILES[0]))
+        with pytest.raises(CifarFormatError, match=missing):
+            load_cifar10("~/absent")
 
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(CifarFormatError, match="data_batch_1.bin"):

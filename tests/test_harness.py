@@ -92,6 +92,14 @@ class TestEvaluate:
         net = nn.init_network([8], 8, 3, seed=3)
         data = make_blobs(40, 3, 8, 4.0, seed=4)
         assert evaluate(net, data, chunk=7) == evaluate(net, data, chunk=4096)
+        # stored bytes: 120 rows leave a 1-row last chunk in the reused buffer
+        stored = Dataset(np.round(data.features * 255).astype(np.uint8), data.labels,
+                         name="bytes", class_count=3)
+        widened = Dataset(stored.features.astype(np.float64) / 255.0, data.labels,
+                          name="floats", class_count=3)
+        assert stored.n % 7 == 1
+        for chunk in (7, 4096):
+            assert evaluate(net, stored, chunk=chunk) == evaluate(net, widened, chunk=chunk)
 
     def test_dimension_mismatch_rejected(self):
         net = nn.init_network([8], 9, 3, seed=1)
@@ -294,6 +302,26 @@ class TestRun:
         cfg = blob_config(tmp_path, blobs=None)
         with pytest.raises(ConfigError, match="data source"):
             run(cfg)
+
+    @pytest.mark.parametrize("reg_kind", ["dynamic", "alpha"])
+    def test_byte_features_reproduce_float_features(self, tmp_path, reg_kind):
+        # the same pixels stored as bytes and as the floats the loader used
+        # to build (astype(float64) / 255) must train identically
+        def split(dataset):
+            raw = np.round(dataset.features * 255).astype(np.uint8)
+            return (Dataset(raw, dataset.labels, name="bytes", class_count=3),
+                    Dataset(raw.astype(np.float64) / 255.0, dataset.labels, name="floats",
+                            class_count=3))
+
+        train_bytes, train_floats = split(make_blobs(40, 3, 8, 4.0, seed=1))
+        val_bytes, val_floats = split(make_blobs(10, 3, 8, 4.0, seed=2))
+        for name, data in (("bytes", (train_bytes, val_bytes)), ("floats", (train_floats, val_floats))):
+            run(blob_config(tmp_path, reg_kind=reg_kind, rate=0.3, architecture=[8, 8], epochs=3,
+                            batch_size=16, output_dir=tmp_path / name, blobs=None), data=data)
+        names = sorted(p.name for p in (tmp_path / "floats").iterdir())
+        assert "metrics.csv" in names
+        for name in names:
+            assert (tmp_path / "bytes" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
 
     def test_injected_datasets_bypass_loading(self, tmp_path):
         train = make_blobs(30, 3, 8, 8.0, seed=1)
