@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from lifedrop.data import CifarFormatError
 from lifedrop.harness import BlobSpec, ConfigError, RunConfig, compare, run
 from lifedrop.regularizers import KINDS, RegularizerConfig
 
@@ -20,29 +19,30 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--arch", default="arch1",
                        help="arch1 | arch2 | arch3 | custom:<w1,w2,...>")
     train.add_argument("--reg", default="none", choices=KINDS)
-    train.add_argument("--rate", type=float, default=0.5,
+    train.add_argument("--rate", type=float, default=RegularizerConfig.rate,
                        help="drop rate for classical, gaussian and alpha; dynamic ignores it "
                             "(its board starts at --lattice-density)")
-    train.add_argument("--epochs", type=int, default=100)
-    train.add_argument("--batch", type=int, default=512)
-    train.add_argument("--lr", type=float, default=0.01)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--epochs", type=int, default=RunConfig.epochs)
+    train.add_argument("--batch", type=int, default=RunConfig.batch_size)
+    train.add_argument("--lr", type=float, default=RunConfig.learning_rate)
+    train.add_argument("--seed", type=int, default=RunConfig.seed)
     source = train.add_mutually_exclusive_group(required=True)
     source.add_argument("--data-dir", help="directory holding the six binary image batches")
     source.add_argument("--synthetic", action="store_true",
                         help="train on generated Gaussian blobs instead of image files")
     train.add_argument("--out", required=True, help="output directory for metrics and snapshots")
-    train.add_argument("--snapshot-epochs", default="1,10,20",
+    train.add_argument("--snapshot-epochs", default=",".join(map(str, RunConfig.snapshot_epochs)),
                        help="comma-separated epochs at which to dump the lattice (dynamic only)")
-    train.add_argument("--patience", type=int, default=5)
-    train.add_argument("--min-delta", type=float, default=1e-3)
-    train.add_argument("--reactivation-fraction", type=float, default=0.1)
-    train.add_argument("--lattice-density", type=float, default=0.5,
+    train.add_argument("--patience", type=int, default=RunConfig.patience)
+    train.add_argument("--min-delta", type=float, default=RunConfig.min_delta)
+    train.add_argument("--reactivation-fraction", type=float,
+                       default=RegularizerConfig.reactivation_fraction)
+    train.add_argument("--lattice-density", type=float, default=RegularizerConfig.lattice_density,
                        help="initial live-cell density of the dynamic board")
-    train.add_argument("--blob-classes", type=int, default=4)
-    train.add_argument("--blob-dim", type=int, default=32)
-    train.add_argument("--blob-per-class", type=int, default=500)
-    train.add_argument("--blob-separation", type=float, default=10.0)
+    train.add_argument("--blob-classes", type=int, default=BlobSpec.classes)
+    train.add_argument("--blob-dim", type=int, default=BlobSpec.dim)
+    train.add_argument("--blob-per-class", type=int, default=BlobSpec.per_class)
+    train.add_argument("--blob-separation", type=float, default=BlobSpec.separation)
 
     cmp = sub.add_parser("compare", help="summarize finished run directories into summary.csv")
     cmp.add_argument("run_dirs", nargs="+", metavar="dir")
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return _train(args)
         return _compare(args)
-    except (ConfigError, CifarFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

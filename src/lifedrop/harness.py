@@ -10,8 +10,10 @@ metrics files and snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+import ast
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -28,7 +30,6 @@ ARCH_PRESETS = {
     "arch3": (64,) * 10,
 }
 
-METRICS_HEADER = "epoch,train_loss,val_loss,train_acc,val_acc,gap,live_mask_fraction,reactivated_cells"
 SUMMARY_HEADER = "run,regularizer,final_train_loss,final_val_loss,final_train_acc,final_val_acc,max_val_acc,final_gap"
 
 
@@ -48,6 +49,10 @@ class BlobSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Everything a run depends on, checked when built so that a bad config
+    fails before anything is written. `widths` is the resolved architecture.
+    """
+
     architecture: str | tuple[int, ...]  # preset name, "custom:w1,w2,...", or explicit widths
     regularizer: RegularizerConfig
     output_dir: str | Path
@@ -56,10 +61,24 @@ class RunConfig:
     learning_rate: float = 0.01
     seed: int = 0
     snapshot_epochs: tuple[int, ...] = (1, 10, 20)
-    patience: int = 5
-    min_delta: float = 1e-3
-    data_dir: str | None = None
+    patience: int = OverfitMonitor.patience
+    min_delta: float = OverfitMonitor.min_delta
+    data_dir: str | Path | None = None
     blobs: BlobSpec | None = None
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "widths", resolve_architecture(self.architecture))
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.regularizer.kind == "dynamic" and len(set(self.widths)) != 1:
+            raise ConfigError("dynamic regularizer needs uniform hidden widths "
+                              f"(the lattice is rectangular), got {self.widths}")
+        OverfitMonitor(patience=self.patience, min_delta=self.min_delta)  # its rules, for every kind
 
 
 @dataclass(frozen=True)
@@ -74,15 +93,19 @@ class EpochMetrics:
     reactivated_cells: int
 
 
+# metrics.csv columns in order, each with the type that sets its format
+_METRIC_TYPES = typing.get_type_hints(EpochMetrics)
+METRICS_HEADER = ",".join(_METRIC_TYPES)
+
+
 def resolve_architecture(arch) -> tuple[int, ...]:
     """Preset name, custom:<w1,w2,...> string, or explicit width sequence."""
     if isinstance(arch, str):
         if arch in ARCH_PRESETS:
             return ARCH_PRESETS[arch]
         if arch.startswith("custom:"):
-            body = arch[len("custom:"):]
             try:
-                widths = tuple(int(w) for w in body.split(","))
+                widths = tuple(int(w) for w in arch.removeprefix("custom:").split(","))
             except ValueError:
                 raise ConfigError(f"cannot parse custom architecture {arch!r}") from None
         else:
@@ -95,26 +118,20 @@ def resolve_architecture(arch) -> tuple[int, ...]:
     return widths
 
 
-def _architecture_label(arch) -> str:
-    if isinstance(arch, str):
-        return arch
-    return "custom:" + ",".join(str(int(w)) for w in arch)
-
-
 def evaluate(network: nn.Network, dataset: Dataset, chunk: int = 4096) -> tuple[float, float]:
     """Full-dataset loss and accuracy with every regularizer disabled.
 
     The rows are read in chunks of `chunk`. Stored bytes are scaled into
     one float64 chunk buffer that every chunk reuses; float64 features
-    are read in place, with no buffer.
+    are read in place, with no buffer. The loss is one reduction over the
+    per-row losses of all rows, so it does not depend on `chunk`.
     """
     if dataset.features.shape[1] != network.input_dim:
         raise ValueError(f"dataset dimension {dataset.features.shape[1]} does not match "
                          f"network input {network.input_dim}")
     if dataset.class_count != network.class_count:
         raise ValueError(f"dataset has {dataset.class_count} classes, network {network.class_count}")
-    eye = np.eye(dataset.class_count)
-    loss_sum = 0.0
+    true_probs = np.empty(dataset.n)
     hits = 0
     buffer = None
     if dataset.features.dtype == np.uint8:
@@ -124,9 +141,11 @@ def evaluate(network: nn.Network, dataset: Dataset, chunk: int = 4096) -> tuple[
         out = None if buffer is None else buffer[:y.shape[0]]
         x = dataset.rows(slice(start, start + chunk), out=out)
         probs, _ = nn.forward(network, x)
-        loss_sum += nn.cross_entropy(eye[y], probs) * x.shape[0]
+        true_probs[start:start + y.shape[0]] = probs[np.arange(y.shape[0]), y]
         hits += int((probs.argmax(axis=1) == y).sum())
-    return loss_sum / dataset.n, hits / dataset.n
+    # with one-hot labels each row's cross-entropy reads only its true class
+    loss = nn.cross_entropy(np.ones((dataset.n, 1)), true_probs[:, None])
+    return loss, hits / dataset.n
 
 
 def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
@@ -167,13 +186,6 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     -> reactivate -> lattice step). `data` optionally injects preloaded
     (train, validation) datasets in place of config.data_dir/config.blobs.
     """
-    widths = resolve_architecture(config.architecture)
-    if config.epochs < 0:
-        raise ConfigError(f"epochs must be non-negative, got {config.epochs}")
-    if config.batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {config.batch_size}")
-    if config.learning_rate <= 0:
-        raise ConfigError(f"learning_rate must be positive, got {config.learning_rate}")
     reg = config.regularizer
 
     out = Path(config.output_dir)
@@ -183,16 +195,13 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
         return []
 
     train_ds, val_ds = data if data is not None else _load_data(config)
-    network = nn.init_network(list(widths), train_ds.features.shape[1], train_ds.class_count,
+    network = nn.init_network(list(config.widths), train_ds.features.shape[1], train_ds.class_count,
                               seed=derive_seed(config.seed, "init"))
 
     lattice = None
     monitor = None
     if reg.kind == "dynamic":
-        if len(set(widths)) != 1:
-            raise ConfigError("dynamic regularizer needs uniform hidden widths "
-                              f"(the lattice is rectangular), got {widths}")
-        lattice = init_random(len(widths), widths[0], reg.lattice_density,
+        lattice = init_random(len(config.widths), config.widths[0], reg.lattice_density,
                               seed=derive_seed(config.seed, "lattice"))
         monitor = OverfitMonitor(patience=config.patience, min_delta=config.min_delta)
 
@@ -228,11 +237,11 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
 
 
 def write_metrics(history, path) -> None:
-    """CSV with one row per epoch, reals at fixed 6-decimal precision."""
+    """CSV with one row per epoch: ints as they are, floats at fixed 6-decimal precision."""
     lines = [METRICS_HEADER]
     for m in history:
-        lines.append(f"{m.epoch},{m.train_loss:.6f},{m.val_loss:.6f},{m.train_acc:.6f},"
-                     f"{m.val_acc:.6f},{m.gap:.6f},{m.live_mask_fraction:.6f},{m.reactivated_cells}")
+        lines.append(",".join(str(getattr(m, name)) if kind is int else f"{getattr(m, name):.6f}"
+                              for name, kind in _METRIC_TYPES.items()))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -246,51 +255,61 @@ def read_metrics(path) -> list[EpochMetrics]:
         raise ValueError(f"{path}: malformed metrics header")
     history = []
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(fields)}")
-        history.append(EpochMetrics(epoch=int(fields[0]), train_loss=float(fields[1]),
-                                    val_loss=float(fields[2]), train_acc=float(fields[3]),
-                                    val_acc=float(fields[4]), gap=float(fields[5]),
-                                    live_mask_fraction=float(fields[6]),
-                                    reactivated_cells=int(fields[7])))
+        cells = line.split(",")
+        if len(cells) != len(_METRIC_TYPES):
+            raise ValueError(f"{path}:{lineno}: expected {len(_METRIC_TYPES)} fields, got {len(cells)}")
+        history.append(EpochMetrics(*(kind(cell) for kind, cell in zip(_METRIC_TYPES.values(), cells))))
     return history
 
 
+def _manifest_entries(obj, prefix=""):
+    """(key, value) per init field but output_dir; nested dataclasses give dotted keys."""
+    for f in fields(obj):
+        if not f.init or f.name == "output_dir":
+            continue
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _manifest_entries(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, str(value) if isinstance(value, PurePath) else value
+
+
 def write_manifest(config: RunConfig, path) -> None:
-    """Key = value dump of everything needed to rerun the experiment."""
-    widths = resolve_architecture(config.architecture)
-    reg = config.regularizer
-    if config.data_dir is not None:
-        data = f"dir:{config.data_dir}"
-    elif config.blobs is not None:
-        b = config.blobs
-        data = f"blobs:per_class={b.per_class},classes={b.classes},dim={b.dim},separation={b.separation!r}"
-    else:
-        data = "injected"
-    lines = [
-        f"arch = {_architecture_label(config.architecture)}",
-        f"layers = {','.join(str(w) for w in widths)}",
-        f"regularizer = {reg.kind}",
-        f"rate = {reg.rate!r}",
-        f"lattice_density = {reg.lattice_density!r}",
-        f"reactivation_fraction = {reg.reactivation_fraction!r}",
-        f"reg_seed = {reg.seed}",
-        f"patience = {config.patience}",
-        f"min_delta = {config.min_delta!r}",
-        f"epochs = {config.epochs}",
-        f"batch_size = {config.batch_size}",
-        f"learning_rate = {config.learning_rate!r}",
-        f"seed = {config.seed}",
-        f"snapshot_epochs = {','.join(str(e) for e in config.snapshot_epochs)}",
-        f"data = {data}",
-    ]
+    """Everything needed to rerun the experiment: a `key = value` line per config field.
+
+    Values are Python literals, nested configs give dotted keys such as
+    `regularizer.rate`, and a path-like data_dir is written as its string.
+    The last line, `layers`, records the resolved widths.
+    """
+    lines = [f"{key} = {value!r}" for key, value in _manifest_entries(config)]
+    lines.append(f"layers = {config.widths!r}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_manifest(path) -> dict[str, str]:
-    """The `key = value` entries of a manifest file; blank lines are skipped."""
+def _manifest_kwargs(cls, entries: dict, prefix="") -> dict:
+    """Constructor arguments for `cls`, popped from the manifest entries write_manifest produced."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key = prefix + f.name
+        if not f.init or f.name == "output_dir":
+            continue
+        nested = next((t for t in (hints[f.name], *typing.get_args(hints[f.name])) if is_dataclass(t)), None)
+        if nested is not None and key not in entries:
+            kwargs[f.name] = nested(**_manifest_kwargs(nested, entries, key + "."))
+        else:
+            kwargs[f.name] = entries.pop(key)
+    return kwargs
+
+
+def config_from_manifest(path, output_dir) -> RunConfig:
+    """Rebuild the RunConfig recorded by write_manifest.
+
+    Blank lines are skipped. A missing, unknown, repeated or malformed
+    key, or a `layers` line that differs from the resolved widths, raises
+    ValueError naming the path.
+    """
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"{path}: missing manifest file")
@@ -301,39 +320,27 @@ def _read_manifest(path) -> dict[str, str]:
         key, sep, value = line.partition(" = ")
         if not sep:
             raise ValueError(f"{path}:{lineno}: malformed manifest line {line!r}")
-        entries[key] = value
-    return entries
-
-
-def config_from_manifest(path, output_dir) -> RunConfig:
-    """Rebuild a RunConfig from a manifest written by write_manifest."""
-    entries = _read_manifest(path)
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate manifest key {key!r}")
+        try:
+            entries[key] = ast.literal_eval(value)
+        except (ValueError, SyntaxError):
+            raise ValueError(f"{path}:{lineno}: malformed manifest value {value!r}") from None
     try:
-        reg = RegularizerConfig(kind=entries["regularizer"], rate=float(entries["rate"]),
-                                lattice_density=float(entries["lattice_density"]),
-                                reactivation_fraction=float(entries["reactivation_fraction"]),
-                                seed=int(entries["reg_seed"]))
-        data_dir = None
-        blobs = None
-        data = entries["data"]
-        if data.startswith("dir:"):
-            data_dir = data[len("dir:"):]
-        elif data.startswith("blobs:"):
-            fields = dict(part.split("=") for part in data[len("blobs:"):].split(","))
-            blobs = BlobSpec(per_class=int(fields["per_class"]), classes=int(fields["classes"]),
-                             dim=int(fields["dim"]), separation=float(fields["separation"]))
-        snapshot = tuple(int(e) for e in entries["snapshot_epochs"].split(",")) \
-            if entries["snapshot_epochs"] else ()
-        return RunConfig(architecture=entries["arch"], regularizer=reg, output_dir=output_dir,
-                         epochs=int(entries["epochs"]), batch_size=int(entries["batch_size"]),
-                         learning_rate=float(entries["learning_rate"]), seed=int(entries["seed"]),
-                         snapshot_epochs=snapshot, patience=int(entries["patience"]),
-                         min_delta=float(entries["min_delta"]), data_dir=data_dir, blobs=blobs)
+        config = RunConfig(output_dir=output_dir, **_manifest_kwargs(RunConfig, entries))
+        layers = entries.pop("layers")
     except KeyError as exc:
         raise ValueError(f"{path}: manifest is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if entries:
+        raise ValueError(f"{path}: unknown manifest key {next(iter(entries))!r}")
+    if layers != config.widths:
+        raise ValueError(f"{path}: layers {layers!r} do not match the architecture's widths {config.widths}")
+    return config
 
 
-def compare(run_dirs, out_path="summary.csv"):
+def compare(run_dirs, out_path):
     """Summarize finished runs into one CSV row each.
 
     Per run: final train/val accuracy and loss, best validation accuracy
@@ -346,8 +353,7 @@ def compare(run_dirs, out_path="summary.csv"):
         history = read_metrics(run_dir / "metrics.csv")
         if not history:
             raise ValueError(f"{run_dir}: metrics.csv has no epoch rows")
-        manifest = _read_manifest(run_dir / "manifest.txt")
-        kind = manifest.get("regularizer", "?")
+        kind = config_from_manifest(run_dir / "manifest.txt", run_dir).regularizer.kind
         last = history[-1]
         rows.append((run_dir.name, kind, last.train_loss, last.val_loss,
                      last.train_acc, last.val_acc,
@@ -355,8 +361,6 @@ def compare(run_dirs, out_path="summary.csv"):
     lines = [SUMMARY_HEADER]
     for name, kind, tl, vl, ta, va, best_va, gap in rows:
         lines.append(f"{name},{kind},{tl:.6f},{vl:.6f},{ta:.6f},{va:.6f},{best_va:.6f},{gap:.6f}")
-    text = "\n".join(lines) + "\n"
-    if out_path is not None:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+    with open(out_path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
     return rows

@@ -79,8 +79,6 @@ def monitor_update(monitor: OverfitMonitor, val_loss: float) -> tuple[OverfitMon
 
 def classical_gain(shape, rate: float, seed: int) -> np.ndarray:
     """Per-element factor: 0 with probability rate, else 1/(1-rate)."""
-    if rate == 0.0:
-        return np.ones(shape)
     rng = np.random.default_rng(seed)
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
@@ -88,8 +86,6 @@ def classical_gain(shape, rate: float, seed: int) -> np.ndarray:
 
 def gaussian_gain(shape, rate: float, seed: int) -> np.ndarray:
     """Per-element multiplier ~ Normal(1, rate/(1-rate))."""
-    if rate == 0.0:
-        return np.ones(shape)
     rng = np.random.default_rng(seed)
     return rng.normal(1.0, math.sqrt(rate / (1.0 - rate)), size=shape)
 
@@ -102,8 +98,6 @@ def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     b = -a * (1-p) * ALPHA_PRIME, which preserves zero mean and unit
     variance of standard-normal input.
     """
-    if rate == 0.0:
-        return np.ones(shape), np.zeros(shape)
     p = 1.0 - rate
     a = (p + ALPHA_PRIME**2 * p * (1.0 - p)) ** -0.5
     b = -a * (1.0 - p) * ALPHA_PRIME

@@ -1,6 +1,7 @@
 """Experiment-driver tests: run loop, metrics files, manifests, CLI."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,7 @@ class TestEvaluate:
         assert stored.n % 7 == 1
         for chunk in (7, 4096):
             assert evaluate(net, stored, chunk=chunk) == evaluate(net, widened, chunk=chunk)
+        assert evaluate(net, stored, chunk=7) == evaluate(net, stored, chunk=4096)
 
     def test_dimension_mismatch_rejected(self):
         net = nn.init_network([8], 9, 3, seed=1)
@@ -155,7 +157,7 @@ class TestManifest:
         cfg = blob_config(tmp_path, architecture="arch1")
         path = tmp_path / "manifest.txt"
         write_manifest(cfg, path)
-        assert "layers = 512,512,512" in path.read_text().splitlines()
+        assert path.read_text().splitlines()[-1] == "layers = (512, 512, 512)"
 
     def test_rerun_manifest_is_identical(self, tmp_path):
         cfg = blob_config(tmp_path, reg_kind="dynamic")
@@ -167,10 +169,9 @@ class TestManifest:
         assert first.read_bytes() == second.read_bytes()
 
     def test_unknown_preset_fails_before_writing(self, tmp_path):
-        cfg = blob_config(tmp_path, architecture="arch7")
         path = tmp_path / "manifest.txt"
         with pytest.raises(ConfigError):
-            write_manifest(cfg, path)
+            write_manifest(blob_config(tmp_path, architecture="arch7"), path)
         assert not path.exists()
 
     def test_data_dir_round_trips(self, tmp_path):
@@ -187,6 +188,41 @@ class TestManifest:
     def test_missing_manifest_named(self, tmp_path):
         with pytest.raises(ValueError, match="missing manifest"):
             config_from_manifest(tmp_path / "absent.txt", output_dir=tmp_path)
+
+    @pytest.mark.parametrize("source", ["data_dir", "blobs", "injected"])
+    @pytest.mark.parametrize("architecture", ["arch3", "custom:16,16", (16, 16), [16, 16]])
+    @pytest.mark.parametrize("kind", ["none", "classical", "gaussian", "alpha", "dynamic"])
+    def test_round_trip(self, tmp_path, kind, architecture, source):
+        data = {"data_dir": {"data_dir": tmp_path / "cifar"}, "blobs": {"blobs": BLOBS},
+                "injected": {"blobs": None}}[source]
+        cfg = blob_config(tmp_path, reg_kind=kind, architecture=architecture, rate=0.25,
+                          lattice_density=0.75, reactivation_fraction=0.5, learning_rate=0.1 + 0.2,
+                          patience=3, min_delta=1e-4, snapshot_epochs=(2,), **data)
+        path = tmp_path / "manifest.txt"
+        write_manifest(cfg, path)
+        rebuilt = config_from_manifest(path, output_dir=cfg.output_dir)
+        # a path-like data_dir is recorded, and read back, as its string
+        expected = replace(cfg, data_dir=str(cfg.data_dir)) if source == "data_dir" else cfg
+        assert rebuilt == expected
+        assert type(rebuilt.architecture) is type(cfg.architecture)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + "seed = 5\n", r"manifest.txt:20: duplicate manifest key 'seed'"),
+        (lambda text: text + "colour = 'red'\n", r"manifest.txt: unknown manifest key 'colour'"),
+        (lambda text: text.replace("patience = 5\n", ""), r"manifest.txt: manifest is missing key 'patience'"),
+        (lambda text: text.replace("blobs.dim = 8\n", ""), r"manifest.txt: manifest is missing key 'blobs.dim'"),
+        (lambda text: text.replace("layers = (8,)\n", ""), r"manifest.txt: manifest is missing key 'layers'"),
+        (lambda text: text.replace("epochs = 3", "epochs = three"), r"manifest.txt:7: malformed manifest value"),
+        (lambda text: text.replace("layers = (8,)", "layers = (8, 8)"), r"manifest.txt: layers \(8, 8\) do not match"),
+        (lambda text: text.replace("epochs = 3", "epochs = -3"), r"manifest.txt: epochs must be non-negative"),
+    ], ids=["duplicate", "unknown", "missing", "missing-nested", "missing-layers", "malformed-value",
+            "layers-mismatch", "bad-value"])
+    def test_bad_manifest_named(self, tmp_path, edit, message):
+        path = tmp_path / "manifest.txt"
+        write_manifest(blob_config(tmp_path), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=message):
+            config_from_manifest(path, output_dir=tmp_path)
 
 
 class TestRun:
@@ -257,9 +293,8 @@ class TestRun:
         assert np.array_equal(np.asarray(got), lat.cells)
 
     def test_dynamic_needs_uniform_widths(self, tmp_path):
-        cfg = blob_config(tmp_path, reg_kind="dynamic", architecture=[8, 6])
         with pytest.raises(ConfigError, match="uniform"):
-            run(cfg)
+            run(blob_config(tmp_path, reg_kind="dynamic", architecture=[8, 6]))
 
     def test_reactivation_accounting_replays(self, tmp_path):
         # force a trigger every epoch after the first (nothing can improve
@@ -297,6 +332,17 @@ class TestRun:
             run(blob_config(tmp_path, batch_size=0))
         with pytest.raises(ConfigError):
             run(blob_config(tmp_path, learning_rate=0.0))
+
+    @pytest.mark.parametrize("kind", ["none", "classical", "gaussian", "alpha", "dynamic"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"epochs": -1}, "epochs"), ({"batch_size": 0}, "batch_size"),
+        ({"learning_rate": 0.0}, "learning_rate"), ({"architecture": "arch7"}, "arch7"),
+        ({"patience": 0}, "patience"), ({"min_delta": -1e-3}, "min_delta"),
+    ])
+    def test_bad_config_rejected_when_built(self, tmp_path, kind, bad, message):
+        with pytest.raises(ValueError, match=message):
+            blob_config(tmp_path, reg_kind=kind, **bad)
+        assert not (tmp_path / "run").exists()
 
     def test_missing_data_source_rejected(self, tmp_path):
         cfg = blob_config(tmp_path, blobs=None)

@@ -200,6 +200,7 @@ class TestAlpha:
         assert np.array_equal(z * gain + offset, z)
         gain, offset = alpha_affine((3,), 0.0, seed=1)
         assert np.array_equal(gain, np.ones(3)) and np.array_equal(offset, np.zeros(3))
+        assert not np.signbit(offset).any()
 
     def test_preserves_standard_normal_statistics(self):
         z = np.random.default_rng(13).standard_normal(1_000_000)
