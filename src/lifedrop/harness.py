@@ -118,7 +118,7 @@ def resolve_architecture(arch) -> tuple[int, ...]:
     return widths
 
 
-def evaluate(network: nn.Network, dataset: Dataset, chunk: int = 4096) -> tuple[float, float]:
+def evaluate(network, dataset: Dataset, chunk: int = 4096) -> tuple[float, float]:
     """Full-dataset loss and accuracy with every regularizer disabled.
 
     The rows are read in chunks of `chunk`. Stored bytes are scaled into
@@ -126,16 +126,11 @@ def evaluate(network: nn.Network, dataset: Dataset, chunk: int = 4096) -> tuple[
     are read in place, with no buffer. The loss is one reduction over the
     per-row losses of all rows, so it does not depend on `chunk`.
     """
-    if dataset.features.shape[1] != network.input_dim:
-        raise ValueError(f"dataset dimension {dataset.features.shape[1]} does not match "
-                         f"network input {network.input_dim}")
-    if dataset.class_count != network.class_count:
-        raise ValueError(f"dataset has {dataset.class_count} classes, network {network.class_count}")
     true_probs = np.empty(dataset.n)
     hits = 0
     buffer = None
     if dataset.features.dtype == np.uint8:
-        buffer = np.empty((min(chunk, dataset.n), network.input_dim))
+        buffer = np.empty((min(chunk, dataset.n), dataset.features.shape[1]))
     for start in range(0, dataset.n, chunk):
         y = dataset.labels[start:start + chunk]
         out = None if buffer is None else buffer[:y.shape[0]]
@@ -161,11 +156,11 @@ def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
     raise ConfigError("no data source configured: set data_dir or blobs, or inject datasets")
 
 
-def _batch_scales(network: nn.Network, reg: RegularizerConfig, batch_n: int, epoch: int, batch_i: int):
+def _batch_scales(widths, reg: RegularizerConfig, batch_n: int, epoch: int, batch_i: int):
     """Fresh per-batch (gain, offset) noise for every hidden layer."""
     scales = []
-    for l, layer in enumerate(network.hidden_layers):
-        shape = (batch_n, layer.fan_out)
+    for l, width in enumerate(widths):
+        shape = (batch_n, width)
         seed = derive_seed(reg.seed, "noise", epoch, batch_i, l)
         if reg.kind == "classical":
             scales.append((classical_gain(shape, reg.rate, seed), None))
@@ -183,8 +178,11 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     for the epoch; baselines draw fresh noise per batch), then measures
     loss and accuracy over the full train and validation sets in
     evaluation mode, and finally runs the dynamic epoch-end hook (monitor
-    -> reactivate -> lattice step). `data` optionally injects preloaded
-    (train, validation) datasets in place of config.data_dir/config.blobs.
+    -> reactivate -> lattice step). The network is the list of (W, b)
+    arrays that run creates and nn.sgd_step updates in place. `data`
+    optionally injects preloaded (train, validation) datasets in place of
+    config.data_dir/config.blobs; they must agree in feature width and
+    class count, which is checked before the first epoch.
     """
     reg = config.regularizer
 
@@ -195,8 +193,11 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
         return []
 
     train_ds, val_ds = data if data is not None else _load_data(config)
-    network = nn.init_network(list(config.widths), train_ds.features.shape[1], train_ds.class_count,
-                              seed=derive_seed(config.seed, "init"))
+    width, classes = train_ds.features.shape[1], train_ds.class_count
+    if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):
+        raise ValueError(f"validation set has {val_ds.features.shape[1]} features and {val_ds.class_count} "
+                         f"classes; the training set has {width} and {classes}")
+    network = nn.init_network(config.widths, width, classes, seed=derive_seed(config.seed, "init"))
 
     lattice = None
     monitor = None
@@ -218,10 +219,9 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
 
         for batch_i, (x, y) in enumerate(batches(train_ds, plan, epoch)):
             if reg.kind in ("classical", "gaussian", "alpha"):
-                scales = _batch_scales(network, reg, x.shape[0], epoch, batch_i)
+                scales = _batch_scales(config.widths, reg, x.shape[0], epoch, batch_i)
             _, trace = nn.forward(network, x, scales=scales)
-            grads = nn.backward(network, trace, y)
-            network = nn.sgd_step(network, grads, config.learning_rate)
+            nn.sgd_step(network, nn.backward(network, trace, y), config.learning_rate)
 
         train_loss, train_acc = evaluate(network, train_ds)
         val_loss, val_acc = evaluate(network, val_ds)
@@ -271,13 +271,23 @@ def _manifest_entries(obj, prefix=""):
         if is_dataclass(value):
             yield from _manifest_entries(value, f"{prefix}{f.name}.")
         else:
-            yield prefix + f.name, str(value) if isinstance(value, PurePath) else value
+            yield prefix + f.name, str(value) if isinstance(value, PurePath) else _plain(value)
+
+
+def _plain(value):
+    """The value with every numpy scalar, also inside a tuple or list, made a Python scalar."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (tuple, list)):
+        return type(value)(_plain(v) for v in value)
+    return value
 
 
 def write_manifest(config: RunConfig, path) -> None:
     """Everything needed to rerun the experiment: a `key = value` line per config field.
 
-    Values are Python literals, nested configs give dotted keys such as
+    Values are Python literals (a numpy scalar is written as its Python
+    value), nested configs give dotted keys such as
     `regularizer.rate`, and a path-like data_dir is written as its string.
     The last line, `layers`, records the resolved widths.
     """

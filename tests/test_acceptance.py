@@ -29,7 +29,7 @@ from lifedrop.data import (
 )
 from lifedrop.harness import BlobSpec, RunConfig, run
 from lifedrop.lattice import Lattice, step
-from lifedrop.nn import DenseLayer, Network, backward, cross_entropy, forward, init_network
+from lifedrop.nn import backward, cross_entropy, dense_forward, forward, init_network
 from lifedrop.regularizers import (
     OverfitMonitor,
     RegularizerConfig,
@@ -140,9 +140,12 @@ def _random_problem(seed: int, masked: bool):
         masks = [rng.integers(0, 2, size=w).astype(np.float64) for w in hidden]
         scales = [(1.0 - m, None) for m in masks]
     _, trace = forward(network, x, scales=scales)
-    for layer_index, zt in enumerate(trace.z_tilde[:-1]):
-        keep = np.ones_like(zt, dtype=bool) if masks is None else np.tile(masks[layer_index] == 0, (batch, 1))
-        if keep.any() and np.abs(zt[keep]).min() < 1e-3:
+    activations = trace[0]
+    for layer_index, layer in enumerate(network[:-1]):
+        # a kept unit's pre-activation is unscaled, so dense_forward gives it exactly
+        z = dense_forward(layer, activations[layer_index])
+        keep = np.ones_like(z, dtype=bool) if masks is None else np.tile(masks[layer_index] == 0, (batch, 1))
+        if keep.any() and np.abs(z[keep]).min() < 1e-3:
             return None
     grads = backward(network, trace, y)
     flat = np.concatenate([np.concatenate([dw.ravel(), db.ravel()]) for dw, db in grads])
@@ -160,10 +163,10 @@ def _numeric_gradients(network, x, y, scales, eps=1e-5):
         return cross_entropy(y, probs)
 
     grads = []
-    for l, layer in enumerate(network.layers):
-        dw = np.zeros_like(layer.weights)
-        db = np.zeros_like(layer.bias)
-        for arr, grad in ((layer.weights, dw), (layer.bias, db)):
+    for l, (weights, bias) in enumerate(network):
+        dw = np.zeros_like(weights)
+        db = np.zeros_like(bias)
+        for arr, grad in ((weights, dw), (bias, db)):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -171,12 +174,9 @@ def _numeric_gradients(network, x, y, scales, eps=1e-5):
                 for sign in (1.0, -1.0):
                     bumped = arr.copy()
                     bumped[idx] += sign * eps
-                    layers = list(network.layers)
-                    if arr is layer.weights:
-                        layers[l] = DenseLayer(bumped, layer.bias)
-                    else:
-                        layers[l] = DenseLayer(layer.weights, bumped)
-                    samples.append(loss_of(Network(tuple(layers), network.input_dim, network.class_count)))
+                    layers = list(network)
+                    layers[l] = (bumped, bias) if arr is weights else (weights, bumped)
+                    samples.append(loss_of(layers))
                 grad[idx] = (samples[0] - samples[1]) / (2 * eps)
         grads.append((dw, db))
     return grads

@@ -57,9 +57,7 @@ class TestResolveArchitecture:
 
 class TestEvaluate:
     def uniform_network(self, dim, classes):
-        hidden = nn.DenseLayer(np.zeros((4, dim)), np.zeros(4))
-        out = nn.DenseLayer(np.zeros((classes, 4)), np.zeros(classes))
-        return nn.Network((hidden, out), input_dim=dim, class_count=classes)
+        return [(np.zeros((4, dim)), np.zeros(4)), (np.zeros((classes, 4)), np.zeros(classes))]
 
     def balanced_dataset(self, n, dim, classes):
         rng = np.random.default_rng(0)
@@ -77,8 +75,7 @@ class TestEvaluate:
 
     def test_confident_correct_single_sample(self):
         net = self.uniform_network(6, 10)
-        biased = nn.DenseLayer(np.zeros((10, 4)), np.r_[50.0, np.zeros(9)])
-        net = nn.Network((net.layers[0], biased), input_dim=6, class_count=10)
+        net[1] = (np.zeros((10, 4)), np.r_[50.0, np.zeros(9)])
         data = Dataset(np.random.default_rng(1).random((1, 6)), np.array([0]), name="one",
                        class_count=10)
         loss, acc = evaluate(net, data)
@@ -205,6 +202,17 @@ class TestManifest:
         expected = replace(cfg, data_dir=str(cfg.data_dir)) if source == "data_dir" else cfg
         assert rebuilt == expected
         assert type(rebuilt.architecture) is type(cfg.architecture)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", np.int64(3)), ("rate", np.float64(0.2)), ("architecture", (np.int64(8),)),
+        ("snapshot_epochs", (np.int64(1),)),
+    ], ids=["seed", "rate", "architecture", "snapshot_epochs"])
+    def test_numpy_scalars_written_as_plain_values(self, tmp_path, field, value):
+        cfg = blob_config(tmp_path, **{field: value})
+        path = tmp_path / "manifest.txt"
+        write_manifest(cfg, path)
+        assert "np." not in path.read_text()
+        assert config_from_manifest(path, output_dir=cfg.output_dir) == cfg
 
     @pytest.mark.parametrize("edit, message", [
         (lambda text: text + "seed = 5\n", r"manifest.txt:20: duplicate manifest key 'seed'"),
@@ -368,6 +376,17 @@ class TestRun:
         assert "metrics.csv" in names
         for name in names:
             assert (tmp_path / "bytes" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+
+    @pytest.mark.parametrize("val_shape", [(10, 3, 9), (10, 4, 8)], ids=["width", "classes"])
+    def test_mismatched_validation_set_fails_before_training(self, tmp_path, monkeypatch, val_shape):
+        steps = []
+        sgd_step = nn.sgd_step
+        monkeypatch.setattr(nn, "sgd_step", lambda *args: steps.append(1) or sgd_step(*args))
+        train = make_blobs(30, 3, 8, 8.0, seed=1)
+        val = make_blobs(*val_shape, 8.0, seed=2)
+        with pytest.raises(ValueError, match="validation set has"):
+            run(blob_config(tmp_path, blobs=None), data=(train, val))
+        assert steps == []
 
     def test_injected_datasets_bypass_loading(self, tmp_path):
         train = make_blobs(30, 3, 8, 8.0, seed=1)

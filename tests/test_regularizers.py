@@ -113,8 +113,8 @@ class TestDynamicMask:
     def test_saturated_lattice_masks_everything(self):
         net = nn.init_network([4, 4], 5, 3, seed=2)
         x = np.random.default_rng(1).normal(size=(3, 5))
-        _, trace = nn.forward(net, x, scales=self.scales(Lattice(np.ones((2, 4), dtype=np.uint8))))
-        for act in trace.activations[:-1]:
+        _, (activations, _) = nn.forward(net, x, scales=self.scales(Lattice(np.ones((2, 4), dtype=np.uint8))))
+        for act in activations[1:-1]:
             assert np.array_equal(act, np.zeros((3, 4)))
 
     def test_per_layer_read_off(self):
@@ -123,11 +123,12 @@ class TestDynamicMask:
         cells[2] = 1
         net = nn.init_network([4, 4, 4], 5, 3, seed=3)
         x = np.random.default_rng(2).normal(size=(2, 5))
-        _, trace = nn.forward(net, x, scales=self.scales(Lattice(cells)))
-        assert [g.tolist() for g in trace.gains] == [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 0]]
-        for zt, z, row in zip(trace.z_tilde[:-1], trace.z[:-1], cells):
-            assert np.array_equal(zt[:, row == 1], np.zeros((2, int(row.sum()))))
-            assert np.array_equal(zt[:, row == 0], z[:, row == 0])
+        _, (activations, gains) = nn.forward(net, x, scales=self.scales(Lattice(cells)))
+        assert [g.tolist() for g in gains] == [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 0]]
+        for l, row in enumerate(cells):
+            z = nn.dense_forward(net[l], activations[l])
+            assert np.array_equal(activations[l + 1][:, row == 1], np.zeros((2, int(row.sum()))))
+            assert np.array_equal(activations[l + 1][:, row == 0], np.maximum(z[:, row == 0], 0.0))
 
     def test_evaluation_mode_is_unmasked(self, tmp_path, monkeypatch):
         # A one-epoch dynamic run: the losses it records must be those of the
@@ -135,7 +136,8 @@ class TestDynamicMask:
         evaluated = []
 
         def spy(network, dataset, chunk=4096):
-            evaluated.append((network, dataset))
+            # run updates its arrays in place, so keep a copy of what was evaluated
+            evaluated.append(([(w.copy(), b.copy()) for w, b in network], dataset))
             return evaluate(network, dataset, chunk)
 
         monkeypatch.setattr(harness, "evaluate", spy)
