@@ -19,7 +19,7 @@ import numpy as np
 
 from lifedrop import nn
 from lifedrop.data import BatchPlan, Dataset, batches, load_cifar10, make_blobs
-from lifedrop.lattice import init_random, layer_mask, live_fraction, write_pbm
+from lifedrop.lattice import init_random, live_fraction, write_pbm
 from lifedrop.regularizers import (OverfitMonitor, RegularizerConfig, alpha_affine, classical_gain,
                                    gaussian_gain, on_epoch_end_dynamic)
 from lifedrop.seeding import derive_seed
@@ -118,7 +118,7 @@ def resolve_architecture(arch) -> tuple[int, ...]:
     return widths
 
 
-def evaluate(network, dataset: Dataset, chunk: int = 4096) -> tuple[float, float]:
+def evaluate(network, dataset: Dataset, chunk: int = 1024) -> tuple[float, float]:
     """Full-dataset loss and accuracy with every regularizer disabled.
 
     The rows are read in chunks of `chunk`. Stored bytes are scaled into
@@ -174,15 +174,18 @@ def _batch_scales(widths, reg: RegularizerConfig, batch_n: int, epoch: int, batc
 def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[EpochMetrics]:
     """Train per the config and return one metrics record per epoch.
 
-    Each epoch iterates seeded mini-batches (the dynamic mask is fixed
-    for the epoch; baselines draw fresh noise per batch), then measures
-    loss and accuracy over the full train and validation sets in
-    evaluation mode, and finally runs the dynamic epoch-end hook (monitor
-    -> reactivate -> lattice step). The network is the list of (W, b)
-    arrays that run creates and nn.sgd_step updates in place. `data`
-    optionally injects preloaded (train, validation) datasets in place of
-    config.data_dir/config.blobs; they must agree in feature width and
-    class count, which is checked before the first epoch.
+    Each epoch iterates seeded mini-batches, then measures loss and
+    accuracy over the full train and validation sets in evaluation mode,
+    and finally runs the dynamic epoch-end hook (monitor -> reactivate ->
+    lattice step). Baselines draw fresh (gain, offset) noise per batch.
+    The dynamic board is fixed for the epoch, so the epoch trains a
+    compact copy of (W, b) without the units it drops (they would get
+    zero gradient) and scatters it back before evaluation. The network
+    is the list of (W, b) arrays that run creates and nn.sgd_step updates
+    in place. `data` optionally injects preloaded (train, validation)
+    datasets in place of config.data_dir/config.blobs; they must have
+    rows and agree in feature width and class count, which is checked
+    before the first epoch.
     """
     reg = config.regularizer
 
@@ -197,6 +200,8 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):
         raise ValueError(f"validation set has {val_ds.features.shape[1]} features and {val_ds.class_count} "
                          f"classes; the training set has {width} and {classes}")
+    if train_ds.n == 0 or val_ds.n == 0:
+        raise ValueError(f"the training and validation sets need rows; they have {train_ds.n} and {val_ds.n}")
     network = nn.init_network(config.widths, width, classes, seed=derive_seed(config.seed, "init"))
 
     lattice = None
@@ -209,20 +214,28 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     plan = BatchPlan(batch_size=config.batch_size, seed=derive_seed(config.seed, "batches"))
     history: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
-        scales = None
+        trained = network
         live_frac = 0.0
         if lattice is not None:
-            scales = [(1.0 - layer_mask(lattice, l), None) for l in range(lattice.rows)]
             live_frac = live_fraction(lattice)
             if epoch in config.snapshot_epochs:
                 write_pbm(lattice, out / f"lattice_epoch_{epoch}.pbm")
+            # train the kept units only: kept[l] indexes layer l's inputs, kept[l + 1] its outputs
+            kept = [np.arange(width), *(np.flatnonzero(row == 0) for row in lattice.cells), np.arange(classes)]
+            trained = [(w[np.ix_(rows, cols)], b[rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
 
         for batch_i, (x, y) in enumerate(batches(train_ds, plan, epoch)):
+            scales = None
             if reg.kind in ("classical", "gaussian", "alpha"):
                 scales = _batch_scales(config.widths, reg, x.shape[0], epoch, batch_i)
-            _, trace = nn.forward(network, x, scales=scales)
-            nn.sgd_step(network, nn.backward(network, trace, y), config.learning_rate)
+            _, trace = nn.forward(trained, x, scales=scales)
+            nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
 
+        if lattice is not None:
+            for (w, b), (w_kept, b_kept), cols, rows in zip(network, trained, kept, kept[1:]):
+                w[np.ix_(rows, cols)] = w_kept
+                b[rows] = b_kept
+        del trained  # the compact copy goes before evaluation allocates its chunks
         train_loss, train_acc = evaluate(network, train_ds)
         val_loss, val_acc = evaluate(network, val_ds)
         reactivated = 0

@@ -110,13 +110,6 @@ def reactivate(lattice: Lattice, count: int, seed: int) -> Lattice:
     return Lattice(cells, epoch=lattice.epoch)
 
 
-def layer_mask(lattice: Lattice, layer_index: int) -> np.ndarray:
-    """Copy of row `layer_index`: element j is 1 when unit j is dropped."""
-    if not 0 <= layer_index < lattice.rows:
-        raise ValueError(f"layer index {layer_index} out of range for {lattice.rows} rows")
-    return lattice.cells[layer_index].astype(np.float64)
-
-
 def live_fraction(lattice: Lattice) -> float:
     """Live cells divided by total cells."""
     return lattice.live_count / lattice.size

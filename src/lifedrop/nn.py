@@ -1,12 +1,12 @@
 """Dense feed-forward engine.
 
 Float64 throughout. A network is a list of (W, b) array pairs, W shaped
-(fan_out, fan_in), and a layer computes z = a_prev @ W.T + b. Every
-hidden layer may map its pre-activations through an elementwise
-(gain, offset) pair before ReLU, which is how all the dropout variants
-act (a dropped unit has gain 0). The output layer applies softmax and is
-never regularized. Gradients are hand-written reverse mode; sgd_step
-updates the caller's arrays in place.
+(fan_out, fan_in), and a layer computes z = a_prev @ W.T + b. The noise
+dropouts map each hidden layer's pre-activations through an elementwise
+(gain, offset) pair before ReLU; the dynamic board instead leaves its
+dropped units out of the network for the epoch (a gain of 0). The output
+layer applies softmax and is never regularized. Gradients are
+hand-written reverse mode; sgd_step updates the caller's arrays in place.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def forward(network, batch: np.ndarray, scales=None):
     scales: optional list with one (gain, offset) pair per hidden layer,
     applied elementwise to that layer's pre-activations before ReLU as
     z * gain + offset; an offset of None means no shift. Each entry
-    broadcasts against (batch, width): the dynamic mask passes one
-    (1 - mask) row per epoch, the noise baselines a fresh (batch, width)
-    draw per batch. The output layer is never scaled.
+    broadcasts against (batch, width); the noise baselines pass a fresh
+    (batch, width) draw per batch. The dynamic board passes no scales:
+    harness.run gives forward a network without the units it drops. The
+    output layer is never scaled.
 
     The trace is what backward reads, (activations, gains): activations
     holds the batch, every hidden layer's ReLU output and the

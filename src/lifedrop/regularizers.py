@@ -1,12 +1,12 @@
 """The four dropout strategies behind one config, plus the stagnation monitor.
 
 Classical, Gaussian and alpha dropout draw fresh per-batch (gain, offset)
-noise; the dynamic variant's gain is 1 - mask, read off the Game-of-Life
-lattice, which advances one generation per epoch. Every variant acts
-through the same (gain, offset) pair on the pre-activations, so the
-comparison between strategies is site-controlled; evaluation applies
-none of them. The gain functions trust their rate to lie in [0, 1), the
-range RegularizerConfig enforces.
+noise for the pre-activations. The dynamic variant drops the units that
+are alive on the Game-of-Life lattice, which advances one generation per
+epoch; harness.run trains each epoch without them, the same as a gain of
+1 - mask on those pre-activations. So the comparison between strategies
+is site-controlled; evaluation applies none of them. The gain functions
+trust their rate to lie in [0, 1), the range RegularizerConfig enforces.
 """
 
 from __future__ import annotations

@@ -388,6 +388,18 @@ class TestRun:
             run(blob_config(tmp_path, blobs=None), data=(train, val))
         assert steps == []
 
+    @pytest.mark.parametrize("empty", ["train", "validation"])
+    def test_empty_set_fails_before_training(self, tmp_path, monkeypatch, empty):
+        steps = []
+        sgd_step = nn.sgd_step
+        monkeypatch.setattr(nn, "sgd_step", lambda *args: steps.append(1) or sgd_step(*args))
+        data = [make_blobs(30, 3, 8, 8.0, seed=1), make_blobs(10, 3, 8, 8.0, seed=2)]
+        i = 0 if empty == "train" else 1
+        data[i] = Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), name="empty", class_count=3)
+        with pytest.raises(ValueError, match="need rows"):
+            run(blob_config(tmp_path, blobs=None), data=tuple(data))
+        assert steps == []
+
     def test_injected_datasets_bypass_loading(self, tmp_path):
         train = make_blobs(30, 3, 8, 8.0, seed=1)
         val = make_blobs(10, 3, 8, 8.0, seed=2)

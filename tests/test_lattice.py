@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lifedrop.lattice import Lattice, init_random, layer_mask, live_fraction, reactivate, step, write_pbm
+from lifedrop.lattice import Lattice, init_random, live_fraction, reactivate, step, write_pbm
 
 
 def grid(rows, cols, live=()):
@@ -192,31 +192,6 @@ class TestReactivate:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             reactivate(grid(2, 2), -1, seed=0)
-
-
-class TestLayerMask:
-    def test_all_dead_gives_zero_vector(self):
-        assert np.array_equal(layer_mask(grid(3, 4), 1), np.zeros(4))
-
-    def test_live_row_gives_ones(self):
-        cells = np.zeros((3, 4), dtype=np.uint8)
-        cells[2] = 1
-        assert np.array_equal(layer_mask(Lattice(cells), 2), np.ones(4))
-
-    def test_reads_off_single_row(self):
-        lat = grid(3, 4, [(1, 0), (1, 3)])
-        assert np.array_equal(layer_mask(lat, 1), [1.0, 0.0, 0.0, 1.0])
-        assert np.array_equal(layer_mask(lat, 0), np.zeros(4))
-
-    def test_returns_independent_copy(self):
-        lat = grid(2, 3, [(0, 1)])
-        mask = layer_mask(lat, 0)
-        mask[1] = 0.0
-        assert lat.cells[0, 1] == 1
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            layer_mask(grid(2, 3), 2)
 
 
 def test_live_fraction_values():

@@ -95,11 +95,16 @@ def _reference(config, train, val):
     return history, boards
 
 
-@pytest.mark.parametrize("kind", ["none", "classical", "gaussian", "alpha", "dynamic"])
-def test_run_matches_reference_trainer(tmp_path, kind):
+# The dynamic run also starts from an extinct board (nothing dropped) and
+# from a saturated one (every hidden layer dropped whole in epoch 1).
+@pytest.mark.parametrize("kind, density", [("none", 0.5), ("classical", 0.5), ("gaussian", 0.5), ("alpha", 0.5),
+                                           ("dynamic", 0.5), ("dynamic", 0.0), ("dynamic", 1.0)],
+                         ids=["none", "classical", "gaussian", "alpha", "dynamic", "dynamic-extinct",
+                              "dynamic-saturated"])
+def test_run_matches_reference_trainer(tmp_path, kind, density):
     train = make_blobs(40, 3, 8, 3.0, seed=11)
     val = make_blobs(15, 3, 8, 3.0, seed=12)
-    reg = RegularizerConfig(kind=kind, rate=0.3, lattice_density=0.5, reactivation_fraction=0.5, seed=4)
+    reg = RegularizerConfig(kind=kind, rate=0.3, lattice_density=density, reactivation_fraction=0.5, seed=4)
     config = RunConfig(architecture=WIDTHS, regularizer=reg, output_dir=tmp_path, epochs=EPOCHS,
                        batch_size=16, learning_rate=0.05, seed=7, snapshot_epochs=(1, 3), patience=1,
                        min_delta=0.2)

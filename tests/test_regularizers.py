@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from lifedrop import harness, nn
+from lifedrop.data import BatchPlan, batches, make_blobs
 from lifedrop.harness import BlobSpec, RunConfig, evaluate
-from lifedrop.lattice import Lattice, init_random, layer_mask, step
+from lifedrop.lattice import Lattice, init_random, step
 from lifedrop.regularizers import (ALPHA_PRIME, OverfitMonitor, RegularizerConfig, alpha_affine,
                                    classical_gain, gaussian_gain, monitor_update,
                                    on_epoch_end_dynamic)
@@ -98,10 +99,10 @@ class TestMonitor:
 
 
 class TestDynamicMask:
-    """The board as training applies it: row l of the lattice gives layer l the gain 1 - mask."""
+    """The board as training applies it: row l of the lattice drops layer l's units, i.e. the gain 1 - mask."""
 
     def scales(self, lattice):
-        return [(1.0 - layer_mask(lattice, l), None) for l in range(lattice.rows)]
+        return [(1.0 - row, None) for row in lattice.cells]
 
     def test_extinct_lattice_masks_nothing(self):
         net = nn.init_network([6, 6, 6], 5, 3, seed=1)
@@ -135,7 +136,7 @@ class TestDynamicMask:
         # plain, unscaled forward pass, which differs from the masked one.
         evaluated = []
 
-        def spy(network, dataset, chunk=4096):
+        def spy(network, dataset, chunk=1024):
             # run updates its arrays in place, so keep a copy of what was evaluated
             evaluated.append(([(w.copy(), b.copy()) for w, b in network], dataset))
             return evaluate(network, dataset, chunk)
@@ -155,6 +156,37 @@ class TestDynamicMask:
             assert abs(nn.cross_entropy(y, plain) - loss) < 1e-12
             masked, _ = nn.forward(network, dataset.features, scales=self.scales(board))
             assert abs(nn.cross_entropy(y, masked) - loss) > 1e-6
+
+    @pytest.mark.parametrize("cells", [
+        [[1, 0, 0, 1, 0, 1], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]],
+        [[1, 1, 1, 1, 1, 1], [0, 1, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0]],
+        [[0] * 6] * 3,
+    ], ids=["mixed", "row-all-alive", "extinct"])
+    def test_compact_epoch_equals_dense_masked_epoch(self, tmp_path, monkeypatch, cells):
+        # run trains a dynamic epoch on the kept units only; the weights it then
+        # evaluates must be those of the full network trained with gain 1 - mask.
+        cells = np.array(cells, dtype=np.uint8)
+        evaluated = []
+
+        def spy(network, dataset, chunk=1024):
+            evaluated.append([(w.copy(), b.copy()) for w, b in network])
+            return evaluate(network, dataset, chunk)
+
+        monkeypatch.setattr(harness, "init_random", lambda *args, **kwargs: Lattice(cells))
+        monkeypatch.setattr(harness, "evaluate", spy)
+        train, val = make_blobs(30, 3, 8, 3.0, seed=1), make_blobs(10, 3, 8, 3.0, seed=2)
+        reg = RegularizerConfig(kind="dynamic", seed=5)
+        config = RunConfig(architecture=[6, 6, 6], regularizer=reg, output_dir=tmp_path, epochs=1,
+                           batch_size=16, learning_rate=0.2, seed=5, snapshot_epochs=())
+        harness.run(config, data=(train, val))
+
+        network = nn.init_network(config.widths, 8, 3, seed=derive_seed(config.seed, "init"))
+        for x, y in batches(train, BatchPlan(16, derive_seed(config.seed, "batches")), 1):
+            _, trace = nn.forward(network, x, scales=self.scales(Lattice(cells)))
+            nn.sgd_step(network, nn.backward(network, trace, y), config.learning_rate)
+        for (w, b), (w_run, b_run) in zip(network, evaluated[0]):
+            bound = 1e-12 * np.abs(w).max()
+            assert np.abs(w_run - w).max() <= bound and np.abs(b_run - b).max() <= bound
 
 
 class TestClassical:
