@@ -57,9 +57,11 @@ class Dataset:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise ValueError(f"{features.shape[0]} feature rows but {labels.shape} labels")
+        if features.shape[0] == 0:
+            raise ValueError(f"dataset {self.name!r} has no rows; training and evaluation need rows")
         if self.class_count < 1:
             raise ValueError("class_count must be positive")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
+        if labels.min() < 0 or labels.max() >= self.class_count:
             raise ValueError(f"labels must lie in [0, {self.class_count})")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)

@@ -19,7 +19,7 @@ import numpy as np
 
 from lifedrop import nn
 from lifedrop.data import BatchPlan, Dataset, batches, load_cifar10, make_blobs
-from lifedrop.lattice import init_random, live_fraction, write_pbm
+from lifedrop.lattice import init_random, write_pbm
 from lifedrop.regularizers import (OverfitMonitor, RegularizerConfig, alpha_affine, classical_gain,
                                    gaussian_gain, on_epoch_end_dynamic)
 from lifedrop.seeding import derive_seed
@@ -177,14 +177,15 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     Each epoch iterates seeded mini-batches, then measures loss and
     accuracy over the full train and validation sets in evaluation mode,
     and finally runs the dynamic epoch-end hook (monitor -> reactivate ->
-    lattice step). Baselines draw fresh (gain, offset) noise per batch.
-    The dynamic board is fixed for the epoch, so the epoch trains a
-    compact copy of (W, b) without the units it drops (they would get
-    zero gradient) and scatters it back before evaluation. The network
-    is the list of (W, b) arrays that run creates and nn.sgd_step updates
-    in place. `data` optionally injects preloaded (train, validation)
-    datasets in place of config.data_dir/config.blobs; they must have
-    rows and agree in feature width and class count, which is checked
+    board step). Baselines draw fresh (gain, offset) noise per batch.
+    The dynamic board, a (hidden layers, width) uint8 array, is
+    generation e - 1 in epoch e and fixed for the epoch, so the epoch
+    trains a compact copy of (W, b) without the units it drops (they
+    would get zero gradient) and scatters it back before evaluation. The
+    network is the list of (W, b) arrays that run creates and
+    nn.sgd_step updates in place. `data` optionally injects preloaded
+    (train, validation) datasets in place of config.data_dir/config.blobs;
+    they must agree in feature width and class count, which is checked
     before the first epoch.
     """
     reg = config.regularizer
@@ -200,15 +201,13 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):
         raise ValueError(f"validation set has {val_ds.features.shape[1]} features and {val_ds.class_count} "
                          f"classes; the training set has {width} and {classes}")
-    if train_ds.n == 0 or val_ds.n == 0:
-        raise ValueError(f"the training and validation sets need rows; they have {train_ds.n} and {val_ds.n}")
     network = nn.init_network(config.widths, width, classes, seed=derive_seed(config.seed, "init"))
 
-    lattice = None
+    board = None
     monitor = None
     if reg.kind == "dynamic":
-        lattice = init_random(len(config.widths), config.widths[0], reg.lattice_density,
-                              seed=derive_seed(config.seed, "lattice"))
+        board = init_random(len(config.widths), config.widths[0], reg.lattice_density,
+                            seed=derive_seed(config.seed, "lattice"))
         monitor = OverfitMonitor(patience=config.patience, min_delta=config.min_delta)
 
     plan = BatchPlan(batch_size=config.batch_size, seed=derive_seed(config.seed, "batches"))
@@ -216,12 +215,12 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     for epoch in range(1, config.epochs + 1):
         trained = network
         live_frac = 0.0
-        if lattice is not None:
-            live_frac = live_fraction(lattice)
+        if board is not None:
+            live_frac = float(board.mean())
             if epoch in config.snapshot_epochs:
-                write_pbm(lattice, out / f"lattice_epoch_{epoch}.pbm")
+                write_pbm(board, out / f"lattice_epoch_{epoch}.pbm")
             # train the kept units only: kept[l] indexes layer l's inputs, kept[l + 1] its outputs
-            kept = [np.arange(width), *(np.flatnonzero(row == 0) for row in lattice.cells), np.arange(classes)]
+            kept = [np.arange(width), *(np.flatnonzero(row == 0) for row in board), np.arange(classes)]
             trained = [(w[np.ix_(rows, cols)], b[rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
 
         for batch_i, (x, y) in enumerate(batches(train_ds, plan, epoch)):
@@ -231,7 +230,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
             _, trace = nn.forward(trained, x, scales=scales)
             nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
 
-        if lattice is not None:
+        if board is not None:
             for (w, b), (w_kept, b_kept), cols, rows in zip(network, trained, kept, kept[1:]):
                 w[np.ix_(rows, cols)] = w_kept
                 b[rows] = b_kept
@@ -239,8 +238,8 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
         train_loss, train_acc = evaluate(network, train_ds)
         val_loss, val_acc = evaluate(network, val_ds)
         reactivated = 0
-        if lattice is not None:
-            lattice, monitor, _, reactivated = on_epoch_end_dynamic(lattice, monitor, val_loss, reg)
+        if board is not None:
+            board, monitor, _, reactivated = on_epoch_end_dynamic(board, epoch - 1, monitor, val_loss, reg)
         history.append(EpochMetrics(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
                                     train_acc=train_acc, val_acc=val_acc,
                                     gap=train_acc - val_acc, live_mask_fraction=live_frac,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from lifedrop.lattice import Lattice, reactivate, step
+from lifedrop.lattice import reactivate, step
 from lifedrop.seeding import derive_seed
 
 KINDS = ("none", "classical", "gaussian", "alpha", "dynamic")
@@ -108,22 +108,23 @@ def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     return gain, offset
 
 
-def on_epoch_end_dynamic(lattice: Lattice, monitor: OverfitMonitor, val_loss: float,
+def on_epoch_end_dynamic(board: np.ndarray, generation: int, monitor: OverfitMonitor, val_loss: float,
                          config: RegularizerConfig):
-    """End-of-epoch hook for the dynamic regularizer.
+    """End-of-epoch hook for the dynamic regularizer, given the board and its generation number.
 
     Order is fixed: update the monitor; if it fired, revive
     ceil(reactivation_fraction * dead_count) cells so the fresh cells take
-    part in the next generation; then advance the lattice one step.
+    part in the next generation; then advance the board one step. The
+    generation keys the reactivation seed; the caller's board is left
+    unchanged.
 
-    Returns (next_lattice, next_monitor, triggered, cells_revived).
+    Returns (next_board, next_monitor, triggered, cells_revived).
     """
     next_monitor, triggered = monitor_update(monitor, val_loss)
     revived = 0
     if triggered:
-        dead = lattice.size - lattice.live_count
-        quota = math.ceil(config.reactivation_fraction * dead)
-        before = lattice.live_count
-        lattice = reactivate(lattice, quota, derive_seed(config.seed, "reactivate", lattice.epoch))
-        revived = lattice.live_count - before
-    return step(lattice), next_monitor, triggered, revived
+        before = int(board.sum())
+        quota = math.ceil(config.reactivation_fraction * (board.size - before))
+        board = reactivate(board, quota, derive_seed(config.seed, "reactivate", generation))
+        revived = int(board.sum()) - before
+    return step(board), next_monitor, triggered, revived

@@ -28,7 +28,7 @@ from lifedrop.data import (
     load_cifar10,
 )
 from lifedrop.harness import BlobSpec, RunConfig, run
-from lifedrop.lattice import Lattice, step
+from lifedrop.lattice import step
 from lifedrop.nn import backward, cross_entropy, dense_forward, forward, init_network
 from lifedrop.regularizers import (
     OverfitMonitor,
@@ -43,6 +43,7 @@ SUBSET_TRAIN = 5_000
 SUBSET_VAL = 2_000
 COMPARISON_EPOCHS = 30
 COMPARISON_SEEDS = (0, 1, 2)
+TAIL_EPOCHS = 5
 
 
 def _report(capsys, ok: bool, label: str, detail: str) -> None:
@@ -77,8 +78,7 @@ def test_gol_engine_matches_bruteforce_oracle(capsys):
         rows = int(rng.integers(1, 17))
         cols = int(rng.integers(1, 17))
         cells = (rng.random((rows, cols)) < rng.random()).astype(np.uint8)
-        stepped = step(Lattice(cells))
-        if not np.array_equal(stepped.cells, _oracle_step(cells)):
+        if not np.array_equal(step(cells), _oracle_step(cells)):
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 5.0
@@ -96,19 +96,18 @@ def _embed(coords, size=16) -> np.ndarray:
 def test_gol_fixed_pattern_suite(capsys):
     """Block is a fixed point, blinker has period 2, glider moves (+1,+1) in 4 steps."""
     block = _embed([(5, 5), (5, 6), (6, 5), (6, 6)])
-    block_ok = np.array_equal(step(Lattice(block)).cells, block)
+    block_ok = np.array_equal(step(block), block)
 
     horizontal = _embed([(7, 6), (7, 7), (7, 8)])
     vertical = _embed([(6, 7), (7, 7), (8, 7)])
-    once = step(Lattice(horizontal))
-    blinker_ok = (np.array_equal(once.cells, vertical)
-                  and np.array_equal(step(once).cells, horizontal))
+    once = step(horizontal)
+    blinker_ok = np.array_equal(once, vertical) and np.array_equal(step(once), horizontal)
 
     glider = _embed([(5, 6), (6, 7), (7, 5), (7, 6), (7, 7)])
-    state = Lattice(glider)
+    state = glider
     for _ in range(4):
         state = step(state)
-    glider_ok = np.array_equal(state.cells, np.roll(glider, (1, 1), axis=(0, 1)))
+    glider_ok = np.array_equal(state, np.roll(glider, (1, 1), axis=(0, 1)))
 
     ok = block_ok and blinker_ok and glider_ok
     _report(capsys, ok, "GoL fixed patterns",
@@ -305,7 +304,7 @@ def training_comparison(comparison_subsets, tmp_path_factory):
     at all under plain SGD (batch 128, lr 0.02).
     """
     out = tmp_path_factory.mktemp("comparison-runs")
-    finals: dict[tuple[str, str, int], object] = {}
+    histories: dict[tuple[str, str, int], list] = {}
     durations: list[float] = []
     for arch, batch_size, lr in (("arch1", 512, 0.05), ("arch3", 128, 0.02)):
         for kind in ("dynamic", "classical"):
@@ -319,25 +318,29 @@ def training_comparison(comparison_subsets, tmp_path_factory):
                 started = time.perf_counter()
                 history = run(config, data=comparison_subsets)
                 durations.append(time.perf_counter() - started)
-                finals[(arch, kind, seed)] = history[-1]
-    return finals, durations
+                histories[(arch, kind, seed)] = history
+    return histories, durations
 
 
 def test_dynamic_beats_classical_on_train_accuracy(capsys, training_comparison):
     """arch1, 30 epochs: dynamic final train accuracy >= classical + 10 points on every seed."""
-    finals, _ = training_comparison
-    margins = [finals[("arch1", "dynamic", s)].train_acc - finals[("arch1", "classical", s)].train_acc
-               for s in COMPARISON_SEEDS]
+    histories, _ = training_comparison
+    runs = [(histories[("arch1", "dynamic", s)], histories[("arch1", "classical", s)]) for s in COMPARISON_SEEDS]
+    margins = [dynamic[-1].train_acc - classical[-1].train_acc for dynamic, classical in runs]
+    # shown, not gated: the final epoch of a chaotic trajectory moves with last-bit rounding
+    tail_margins = [statistics.fmean(m.train_acc for m in dynamic[-TAIL_EPOCHS:])
+                    - statistics.fmean(m.train_acc for m in classical[-TAIL_EPOCHS:]) for dynamic, classical in runs]
     ok = all(m >= 0.10 for m in margins)
     _report(capsys, ok, "dynamic vs classical final train accuracy (arch1)",
-            "margins " + "/".join(f"{m * 100:+.1f}pp" for m in margins) + " (bar +10pp on each seed)")
+            "margins " + "/".join(f"{m * 100:+.1f}pp" for m in margins) + " (bar +10pp on each seed); "
+            f"mean over the last {TAIL_EPOCHS} epochs " + "/".join(f"{m * 100:+.1f}pp" for m in tail_margins))
 
 
 def test_deep_net_generalization_gap(capsys, training_comparison):
     """arch3, 30 epochs: median dynamic gap <= median classical gap + 3 points."""
-    finals, _ = training_comparison
-    dynamic_gap = statistics.median(finals[("arch3", "dynamic", s)].gap for s in COMPARISON_SEEDS)
-    classical_gap = statistics.median(finals[("arch3", "classical", s)].gap for s in COMPARISON_SEEDS)
+    histories, _ = training_comparison
+    dynamic_gap = statistics.median(histories[("arch3", "dynamic", s)][-1].gap for s in COMPARISON_SEEDS)
+    classical_gap = statistics.median(histories[("arch3", "classical", s)][-1].gap for s in COMPARISON_SEEDS)
     ok = dynamic_gap <= classical_gap + 0.03
     _report(capsys, ok, "dynamic vs classical generalization gap (arch3)",
             f"median gaps: dynamic {dynamic_gap * 100:+.2f}pp vs classical {classical_gap * 100:+.2f}pp "

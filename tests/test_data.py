@@ -27,6 +27,11 @@ class TestDatasetValue:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), np.array([0]), name="x", class_count=2)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_zero_rows_rejected(self, dtype):
+        with pytest.raises(ValueError, match="no rows"):
+            Dataset(np.zeros((0, 3), dtype=dtype), np.zeros(0, dtype=np.int64), name="x", class_count=2)
+
     def test_float64_features_are_not_copied(self):
         x = np.random.default_rng(0).random((4, 3))
         d = Dataset(x, np.zeros(4), name="x", class_count=1)

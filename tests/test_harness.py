@@ -298,7 +298,7 @@ class TestRun:
         lat = init_random(1, 8, 0.5, seed=derive_seed(cfg.seed, "lattice"))
         body = (tmp_path / "run" / "lattice_epoch_1.pbm").read_text().splitlines()[2:]
         got = [[int(v) for v in line.split()] for line in body]
-        assert np.array_equal(np.asarray(got), lat.cells)
+        assert np.array_equal(np.asarray(got), lat)
 
     def test_dynamic_needs_uniform_widths(self, tmp_path):
         with pytest.raises(ConfigError, match="uniform"):
@@ -314,14 +314,16 @@ class TestRun:
         assert sum(m.reactivated_cells for m in history[1:]) > 0
 
         lat = init_random(1, 8, 0.5, seed=derive_seed(cfg.seed, "lattice"))
+        generation = 0
         expected = [0]
         for _ in range(5):
             lat = step(lat)
-            dead = lat.size - lat.live_count
+            generation += 1
+            dead = lat.size - int(lat.sum())
             quota = math.ceil(0.25 * dead)
-            before = lat.live_count
-            lat = reactivate(lat, quota, derive_seed(cfg.seed, "reactivate", lat.epoch))
-            expected.append(lat.live_count - before)
+            before = int(lat.sum())
+            lat = reactivate(lat, quota, derive_seed(cfg.seed, "reactivate", generation))
+            expected.append(int(lat.sum()) - before)
         assert [m.reactivated_cells for m in history] == expected
 
     def test_live_fraction_column_tracks_lattice(self, tmp_path):
@@ -331,7 +333,7 @@ class TestRun:
         # epoch 2 must report the stepped lattice (on a saturated 1x8 strip
         # the corners die, interior survives on exactly 2 neighbors)
         lat = init_random(1, 8, 1.0, seed=derive_seed(cfg.seed, "lattice"))
-        assert history[1].live_mask_fraction == step(lat).live_count / lat.size
+        assert history[1].live_mask_fraction == step(lat).sum() / lat.size
 
     def test_bad_numbers_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -395,8 +397,8 @@ class TestRun:
         monkeypatch.setattr(nn, "sgd_step", lambda *args: steps.append(1) or sgd_step(*args))
         data = [make_blobs(30, 3, 8, 8.0, seed=1), make_blobs(10, 3, 8, 8.0, seed=2)]
         i = 0 if empty == "train" else 1
-        data[i] = Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), name="empty", class_count=3)
         with pytest.raises(ValueError, match="need rows"):
+            data[i] = Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), name="empty", class_count=3)
             run(blob_config(tmp_path, blobs=None), data=tuple(data))
         assert steps == []
 

@@ -16,7 +16,7 @@ import pytest
 
 from lifedrop.data import BatchPlan, batches, make_blobs
 from lifedrop.harness import RunConfig, run
-from lifedrop.lattice import Lattice, reactivate, step
+from lifedrop.lattice import reactivate, step
 from lifedrop.regularizers import RegularizerConfig, alpha_affine, classical_gain, gaussian_gain
 from lifedrop.seeding import derive_seed
 
@@ -30,8 +30,8 @@ def _reference(config, train, val):
     rng = np.random.default_rng(derive_seed(seed, "init"))
     dims = [train.features.shape[1], *WIDTHS, train.class_count]
     params = [[rng.normal(0.0, math.sqrt(2.0 / i), size=(o, i)), np.zeros(o)] for i, o in zip(dims, dims[1:])]
-    board = Lattice((np.random.default_rng(derive_seed(seed, "lattice")).random((len(WIDTHS), WIDTHS[0]))
-                     < reg.lattice_density).astype(np.uint8))
+    board = (np.random.default_rng(derive_seed(seed, "lattice")).random((len(WIDTHS), WIDTHS[0]))
+             < reg.lattice_density).astype(np.uint8)
     best, stalled = math.inf, 0
 
     def forward(x, scales):
@@ -66,7 +66,7 @@ def _reference(config, train, val):
                 elif reg.kind == "alpha":
                     scales.append(alpha_affine(shape, reg.rate, key))
                 else:  # the board as it stood when the epoch began; all ones without one
-                    scales.append((1.0 - board.cells[l] if reg.kind == "dynamic" else 1.0, 0.0))
+                    scales.append((1.0 - board[l] if reg.kind == "dynamic" else 1.0, 0.0))
             acts = forward(x, scales)
             delta = (acts[-1] - y) / x.shape[0]
             for l in range(len(params) - 1, -1, -1):
@@ -84,13 +84,13 @@ def _reference(config, train, val):
                 stalled += 1
             if stalled >= config.patience:
                 stalled = 0
-                dead = board.size - board.live_count
+                dead = board.size - int(board.sum())
                 revived_board = reactivate(board, math.ceil(reg.reactivation_fraction * dead),
                                            derive_seed(reg.seed, "reactivate", epoch - 1))
-                revived = revived_board.live_count - board.live_count
+                revived = int(revived_board.sum()) - int(board.sum())
                 board = revived_board
             board = step(board)
-        live = boards[-1].live_count / boards[-1].size if reg.kind == "dynamic" else 0.0
+        live = int(boards[-1].sum()) / boards[-1].size if reg.kind == "dynamic" else 0.0
         history.append((train_loss, val_loss, train_acc, val_acc, live, revived))
     return history, boards
 
@@ -120,6 +120,6 @@ def test_run_matches_reference_trainer(tmp_path, kind, density):
     if kind == "dynamic":
         assert sum(m.reactivated_cells for m in got) > 0, "no reactivation fired; the hook order is unchecked"
         for epoch in config.snapshot_epochs:
-            rows = [" ".join(map(str, row)) for row in boards[epoch - 1].cells]
+            rows = [" ".join(map(str, row)) for row in boards[epoch - 1]]
             text = "\n".join(["P1", f"{WIDTHS[0]} {len(WIDTHS)}", *rows]) + "\n"
             assert (tmp_path / f"lattice_epoch_{epoch}.pbm").read_text() == text

@@ -8,7 +8,7 @@ import pytest
 from lifedrop import harness, nn
 from lifedrop.data import BatchPlan, batches, make_blobs
 from lifedrop.harness import BlobSpec, RunConfig, evaluate
-from lifedrop.lattice import Lattice, init_random, step
+from lifedrop.lattice import init_random, reactivate, step
 from lifedrop.regularizers import (ALPHA_PRIME, OverfitMonitor, RegularizerConfig, alpha_affine,
                                    classical_gain, gaussian_gain, monitor_update,
                                    on_epoch_end_dynamic)
@@ -101,20 +101,20 @@ class TestMonitor:
 class TestDynamicMask:
     """The board as training applies it: row l of the lattice drops layer l's units, i.e. the gain 1 - mask."""
 
-    def scales(self, lattice):
-        return [(1.0 - row, None) for row in lattice.cells]
+    def scales(self, board):
+        return [(1.0 - row, None) for row in board]
 
     def test_extinct_lattice_masks_nothing(self):
         net = nn.init_network([6, 6, 6], 5, 3, seed=1)
         x = np.random.default_rng(0).normal(size=(4, 5))
         plain, _ = nn.forward(net, x)
-        masked, _ = nn.forward(net, x, scales=self.scales(Lattice(np.zeros((3, 6), dtype=np.uint8))))
+        masked, _ = nn.forward(net, x, scales=self.scales(np.zeros((3, 6), dtype=np.uint8)))
         assert np.array_equal(plain, masked)
 
     def test_saturated_lattice_masks_everything(self):
         net = nn.init_network([4, 4], 5, 3, seed=2)
         x = np.random.default_rng(1).normal(size=(3, 5))
-        _, (activations, _) = nn.forward(net, x, scales=self.scales(Lattice(np.ones((2, 4), dtype=np.uint8))))
+        _, (activations, _) = nn.forward(net, x, scales=self.scales(np.ones((2, 4), dtype=np.uint8)))
         for act in activations[1:-1]:
             assert np.array_equal(act, np.zeros((3, 4)))
 
@@ -124,7 +124,7 @@ class TestDynamicMask:
         cells[2] = 1
         net = nn.init_network([4, 4, 4], 5, 3, seed=3)
         x = np.random.default_rng(2).normal(size=(2, 5))
-        _, (activations, gains) = nn.forward(net, x, scales=self.scales(Lattice(cells)))
+        _, (activations, gains) = nn.forward(net, x, scales=self.scales(cells))
         assert [g.tolist() for g in gains] == [[1, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 0]]
         for l, row in enumerate(cells):
             z = nn.dense_forward(net[l], activations[l])
@@ -149,7 +149,7 @@ class TestDynamicMask:
         history = harness.run(config)
         (network, train), (_, val) = evaluated
         board = init_random(1, 8, 0.5, seed=derive_seed(config.seed, "lattice"))
-        assert board.live_count > 0
+        assert board.sum() > 0
         for dataset, loss in ((train, history[0].train_loss), (val, history[0].val_loss)):
             y = np.eye(dataset.class_count)[dataset.labels]
             plain, _ = nn.forward(network, dataset.features)
@@ -172,7 +172,7 @@ class TestDynamicMask:
             evaluated.append([(w.copy(), b.copy()) for w, b in network])
             return evaluate(network, dataset, chunk)
 
-        monkeypatch.setattr(harness, "init_random", lambda *args, **kwargs: Lattice(cells))
+        monkeypatch.setattr(harness, "init_random", lambda *args, **kwargs: cells)
         monkeypatch.setattr(harness, "evaluate", spy)
         train, val = make_blobs(30, 3, 8, 3.0, seed=1), make_blobs(10, 3, 8, 3.0, seed=2)
         reg = RegularizerConfig(kind="dynamic", seed=5)
@@ -182,7 +182,7 @@ class TestDynamicMask:
 
         network = nn.init_network(config.widths, 8, 3, seed=derive_seed(config.seed, "init"))
         for x, y in batches(train, BatchPlan(16, derive_seed(config.seed, "batches")), 1):
-            _, trace = nn.forward(network, x, scales=self.scales(Lattice(cells)))
+            _, trace = nn.forward(network, x, scales=self.scales(cells))
             nn.sgd_step(network, nn.backward(network, trace, y), config.learning_rate)
         for (w, b), (w_run, b_run) in zip(network, evaluated[0]):
             bound = 1e-12 * np.abs(w).max()
@@ -265,45 +265,61 @@ class TestEpochEnd:
     def test_no_trigger_is_a_plain_step(self):
         lat = init_random(4, 8, 0.4, seed=1)
         monitor = OverfitMonitor(patience=3)
-        out, monitor2, triggered, revived = on_epoch_end_dynamic(lat, monitor, 1.0, self.config())
+        out, monitor2, triggered, revived = on_epoch_end_dynamic(lat, 0, monitor, 1.0, self.config())
         assert not triggered and revived == 0
-        assert out == step(lat)
-        assert out.epoch == lat.epoch + 1
+        assert np.array_equal(out, step(lat))
 
     def test_trigger_on_extinct_lattice_revives_quota(self):
         # ceil(0.1 * 640) = 64 cells come back, then one generation runs
-        lat = Lattice(np.zeros((10, 64), dtype=np.uint8))
+        lat = np.zeros((10, 64), dtype=np.uint8)
         monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
-        out, _, triggered, revived = on_epoch_end_dynamic(lat, monitor, 0.9, self.config())
+        out, _, triggered, revived = on_epoch_end_dynamic(lat, 0, monitor, 0.9, self.config())
         assert triggered and revived == 64
-        assert out.epoch == lat.epoch + 1
+
+    def test_generation_keys_the_reactivation_seed(self):
+        lat = np.zeros((10, 64), dtype=np.uint8)
+        monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
+        out, _, _, _ = on_epoch_end_dynamic(lat, 3, monitor, 0.9, self.config())
+        expected = step(reactivate(lat, 64, derive_seed(5, "reactivate", 3)))
+        assert np.array_equal(out, expected)
+        assert not np.array_equal(out, step(reactivate(lat, 64, derive_seed(5, "reactivate", 4))))
 
     def test_trigger_on_saturated_lattice_revives_nothing(self):
-        lat = Lattice(np.ones((4, 4), dtype=np.uint8))
+        lat = np.ones((4, 4), dtype=np.uint8)
         monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
-        out, _, triggered, revived = on_epoch_end_dynamic(lat, monitor, 0.9, self.config())
+        out, _, triggered, revived = on_epoch_end_dynamic(lat, 0, monitor, 0.9, self.config())
         assert triggered and revived == 0
-        assert out == step(lat)
+        assert np.array_equal(out, step(lat))
 
     def test_revived_cells_join_the_next_generation(self):
         # reactivation happens before the step: the step sees the revived
         # cells, so the outcome differs from stepping the untouched lattice
-        lat = Lattice(np.zeros((10, 64), dtype=np.uint8))
+        lat = np.zeros((10, 64), dtype=np.uint8)
         monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
-        out, _, _, _ = on_epoch_end_dynamic(lat, monitor, 0.9,
+        out, _, _, _ = on_epoch_end_dynamic(lat, 0, monitor, 0.9,
                                             self.config(reactivation_fraction=1.0))
-        assert out != step(lat)
+        assert not np.array_equal(out, step(lat))
+
+    @pytest.mark.parametrize("best_val_loss", [0.1, 2.0], ids=["triggered", "not-triggered"])
+    def test_board_not_mutated(self, best_val_loss):
+        lat = init_random(6, 10, 0.5, seed=2)
+        before = lat.copy()
+        monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=best_val_loss)
+        out, _, triggered, _ = on_epoch_end_dynamic(lat, 4, monitor, 0.9, self.config())
+        assert triggered == (best_val_loss < 0.9)
+        assert np.array_equal(lat, before)
+        assert out is not lat
 
     def test_deterministic(self):
         lat = init_random(6, 10, 0.5, seed=2)
         monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.1)
-        a = on_epoch_end_dynamic(lat, monitor, 0.9, self.config())
-        b = on_epoch_end_dynamic(lat, monitor, 0.9, self.config())
-        assert a[0] == b[0] and a[1] == b[1] and a[2:] == b[2:]
+        a = on_epoch_end_dynamic(lat, 2, monitor, 0.9, self.config())
+        b = on_epoch_end_dynamic(lat, 2, monitor, 0.9, self.config())
+        assert np.array_equal(a[0], b[0]) and a[1] == b[1] and a[2:] == b[2:]
 
     def test_monitor_threading_matches_monitor_update(self):
         lat = init_random(4, 6, 0.5, seed=3)
         monitor = OverfitMonitor(patience=2, min_delta=0.0)
-        _, out_monitor, triggered, _ = on_epoch_end_dynamic(lat, monitor, 1.3, self.config())
+        _, out_monitor, triggered, _ = on_epoch_end_dynamic(lat, 0, monitor, 1.3, self.config())
         expected_monitor, expected_trigger = monitor_update(monitor, 1.3)
         assert out_monitor == expected_monitor and triggered == expected_trigger
