@@ -83,16 +83,6 @@ class Dataset:
         return np.divide(x, 255.0, out=out, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    batch_size: int
-    seed: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-
-
 def _read_batch_file(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
     """Check one batch file and copy its pixel bytes and labels into the given rows."""
     if not path.is_file():
@@ -157,15 +147,14 @@ def make_blobs(per_class: int, classes: int, dim: int, separation: float, seed: 
     return Dataset(features, labels, name=f"blobs-{classes}x{per_class}", class_count=classes)
 
 
-def batches(dataset: Dataset, plan: BatchPlan, epoch: int):
-    """Yield (features, one-hot labels) covering every sample exactly once.
+def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
+    """Yield (float64 features, class-index labels) covering every sample exactly once.
 
     The order is a fresh permutation that is a pure function of
-    (plan.seed, epoch); the last batch may be short.
+    (seed, epoch); the last batch may be short.
     """
-    rng = np.random.default_rng(derive_seed(plan.seed, "shuffle", epoch))
+    rng = np.random.default_rng(derive_seed(seed, "shuffle", epoch))
     order = rng.permutation(dataset.n)
-    eye = np.eye(dataset.class_count)
-    for start in range(0, dataset.n, plan.batch_size):
-        idx = order[start:start + plan.batch_size]
-        yield dataset.rows(idx), eye[dataset.labels[idx]]
+    for start in range(0, dataset.n, batch_size):
+        idx = order[start:start + batch_size]
+        yield dataset.rows(idx), dataset.labels[idx]

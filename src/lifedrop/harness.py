@@ -18,7 +18,7 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from lifedrop import nn
-from lifedrop.data import BatchPlan, Dataset, batches, load_cifar10, make_blobs
+from lifedrop.data import Dataset, batches, load_cifar10, make_blobs
 from lifedrop.lattice import init_random, write_pbm
 from lifedrop.regularizers import (OverfitMonitor, RegularizerConfig, alpha_affine, classical_gain,
                                    gaussian_gain, on_epoch_end_dynamic)
@@ -124,7 +124,8 @@ def evaluate(network, dataset: Dataset, chunk: int = 1024) -> tuple[float, float
     The rows are read in chunks of `chunk`. Stored bytes are scaled into
     one float64 chunk buffer that every chunk reuses; float64 features
     are read in place, with no buffer. The loss is one reduction over the
-    per-row losses of all rows, so it does not depend on `chunk`.
+    per-row losses of all rows, so it does not depend on `chunk`. The
+    loss reads each row's probability of its labelled class.
     """
     true_probs = np.empty(dataset.n)
     hits = 0
@@ -138,9 +139,7 @@ def evaluate(network, dataset: Dataset, chunk: int = 1024) -> tuple[float, float
         probs, _ = nn.forward(network, x)
         true_probs[start:start + y.shape[0]] = probs[np.arange(y.shape[0]), y]
         hits += int((probs.argmax(axis=1) == y).sum())
-    # with one-hot labels each row's cross-entropy reads only its true class
-    loss = nn.cross_entropy(np.ones((dataset.n, 1)), true_probs[:, None])
-    return loss, hits / dataset.n
+    return nn.cross_entropy(true_probs), hits / dataset.n
 
 
 def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
@@ -210,7 +209,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
                             seed=derive_seed(config.seed, "lattice"))
         monitor = OverfitMonitor(patience=config.patience, min_delta=config.min_delta)
 
-    plan = BatchPlan(batch_size=config.batch_size, seed=derive_seed(config.seed, "batches"))
+    batch_seed = derive_seed(config.seed, "batches")
     history: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         trained = network
@@ -223,7 +222,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
             kept = [np.arange(width), *(np.flatnonzero(row == 0) for row in board), np.arange(classes)]
             trained = [(w[np.ix_(rows, cols)], b[rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
 
-        for batch_i, (x, y) in enumerate(batches(train_ds, plan, epoch)):
+        for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, batch_seed, epoch)):
             scales = None
             if reg.kind in ("classical", "gaussian", "alpha"):
                 scales = _batch_scales(config.widths, reg, x.shape[0], epoch, batch_i)

@@ -5,8 +5,9 @@ Float64 throughout. A network is a list of (W, b) array pairs, W shaped
 dropouts map each hidden layer's pre-activations through an elementwise
 (gain, offset) pair before ReLU; the dynamic board instead leaves its
 dropped units out of the network for the epoch (a gain of 0). The output
-layer applies softmax and is never regularized. Gradients are
-hand-written reverse mode; sgd_step updates the caller's arrays in place.
+layer applies softmax and is never regularized. Labels are integer
+class indices. Gradients are hand-written reverse mode; sgd_step updates
+the caller's arrays in place.
 """
 
 from __future__ import annotations
@@ -36,23 +37,15 @@ def relu(z: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction so large logits cannot overflow."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"softmax expects a 2-D batch, got shape {z.shape}")
     if np.isnan(z).any():
         raise ValueError("softmax input contains NaN")
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(y_true: np.ndarray, y_prob: np.ndarray) -> float:
-    """Mean over the batch of -sum(y * log(p)), probabilities floored at 1e-12."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_prob = np.asarray(y_prob, dtype=np.float64)
-    if y_true.shape != y_prob.shape or y_true.ndim != 2:
-        raise ValueError(f"shape mismatch: labels {y_true.shape} vs probabilities {y_prob.shape}")
-    p = np.maximum(y_prob, _LOG_CLAMP)
-    return float(np.mean(-(y_true * np.log(p)).sum(axis=1)))
+def cross_entropy(true_probs: np.ndarray) -> float:
+    """Mean of -log(p) over each row's probability of its true class, floored at 1e-12."""
+    return float(np.mean(-np.log(np.maximum(true_probs, _LOG_CLAMP))))
 
 
 def forward(network, batch: np.ndarray, scales=None):
@@ -74,13 +67,6 @@ def forward(network, batch: np.ndarray, scales=None):
     input_dim = network[0][0].shape[1]
     if x.ndim != 2 or x.shape[1] != input_dim:
         raise ValueError(f"expected batch of shape (n, {input_dim}), got {x.shape}")
-    n_hidden = len(network) - 1
-    if scales is not None:
-        if len(scales) == len(network):
-            raise ValueError(f"scales covers the output layer, which is never scaled; "
-                             f"provide {n_hidden} entries, one per hidden layer")
-        if len(scales) != n_hidden:
-            raise ValueError(f"scales has {len(scales)} entries, expected {n_hidden} (one per hidden layer)")
 
     activations, gains = [x], []
     for l, layer in enumerate(network[:-1]):
@@ -88,9 +74,6 @@ def forward(network, batch: np.ndarray, scales=None):
         gain = None
         if scales is not None and scales[l] is not None:
             gain, offset = scales[l]
-            gain = np.asarray(gain, dtype=np.float64)
-            if gain.ndim and gain.shape[-1] != z.shape[1]:
-                raise ValueError(f"gain for layer {l} has width {gain.shape[-1]}, expected {z.shape[1]}")
             z = z * gain if offset is None else z * gain + offset
         activations.append(relu(z))
         gains.append(gain)
@@ -98,20 +81,19 @@ def forward(network, batch: np.ndarray, scales=None):
     return activations[-1], (activations, gains)
 
 
-def backward(network, trace, y_true: np.ndarray):
+def backward(network, trace, labels: np.ndarray):
     """Gradients of mean cross-entropy w.r.t. every weight and bias.
 
-    Returns [(dW, db), ...] ordered like network. Gains recorded in the
-    trace are constants of the pass: a unit with gain 0 propagates zero
-    gradient through its pre-activation.
+    labels holds each row's class index, shape (n,). Returns
+    [(dW, db), ...] ordered like network. Gains recorded in the trace are
+    constants of the pass: a unit with gain 0 propagates zero gradient
+    through its pre-activation.
     """
     activations, gains = trace
-    y = np.asarray(y_true, dtype=np.float64)
-    probs = activations[-1]
-    if y.shape != probs.shape:
-        raise ValueError(f"labels of shape {y.shape} do not match probabilities {probs.shape}")
-
-    dz = (probs - y) / y.shape[0]  # softmax + cross-entropy shortcut
+    n = labels.shape[0]
+    dz = activations[-1].copy()  # softmax + cross-entropy shortcut: (probs - one-hot labels) / n
+    dz[np.arange(n), labels] -= 1.0
+    dz /= n
     grads: list = [None] * len(network)
     for l in range(len(network) - 1, -1, -1):
         grads[l] = (dz.T @ activations[l], dz.sum(axis=0))

@@ -132,7 +132,7 @@ def _random_problem(seed: int, masked: bool):
     batch = int(rng.integers(1, 5))
     network = init_network(hidden, input_dim, classes, seed=int(rng.integers(0, 2**31)))
     x = rng.standard_normal((batch, input_dim))
-    y = np.eye(classes)[rng.integers(0, classes, size=batch)]
+    y = rng.integers(0, classes, size=batch)
     masks = None
     scales = None
     if masked:
@@ -159,7 +159,7 @@ def _random_problem(seed: int, masked: bool):
 def _numeric_gradients(network, x, y, scales, eps=1e-5):
     def loss_of(net):
         probs, _ = forward(net, x, scales=scales)
-        return cross_entropy(y, probs)
+        return cross_entropy(probs[np.arange(y.shape[0]), y])
 
     grads = []
     for l, (weights, bias) in enumerate(network):
@@ -322,18 +322,33 @@ def training_comparison(comparison_subsets, tmp_path_factory):
     return histories, durations
 
 
+def _arch1_pairs(histories):
+    """(dynamic, classical) arch1 histories, one pair per seed."""
+    return [(histories[("arch1", "dynamic", s)], histories[("arch1", "classical", s)]) for s in COMPARISON_SEEDS]
+
+
 def test_dynamic_beats_classical_on_train_accuracy(capsys, training_comparison):
     """arch1, 30 epochs: dynamic final train accuracy >= classical + 10 points on every seed."""
     histories, _ = training_comparison
-    runs = [(histories[("arch1", "dynamic", s)], histories[("arch1", "classical", s)]) for s in COMPARISON_SEEDS]
-    margins = [dynamic[-1].train_acc - classical[-1].train_acc for dynamic, classical in runs]
-    # shown, not gated: the final epoch of a chaotic trajectory moves with last-bit rounding
-    tail_margins = [statistics.fmean(m.train_acc for m in dynamic[-TAIL_EPOCHS:])
-                    - statistics.fmean(m.train_acc for m in classical[-TAIL_EPOCHS:]) for dynamic, classical in runs]
+    margins = [dynamic[-1].train_acc - classical[-1].train_acc for dynamic, classical in _arch1_pairs(histories)]
     ok = all(m >= 0.10 for m in margins)
     _report(capsys, ok, "dynamic vs classical final train accuracy (arch1)",
-            "margins " + "/".join(f"{m * 100:+.1f}pp" for m in margins) + " (bar +10pp on each seed); "
-            f"mean over the last {TAIL_EPOCHS} epochs " + "/".join(f"{m * 100:+.1f}pp" for m in tail_margins))
+            "margins " + "/".join(f"{m * 100:+.1f}pp" for m in margins) + " (bar +10pp on each seed)")
+
+
+def test_dynamic_beats_classical_on_tail_train_accuracy(capsys, training_comparison):
+    """arch1, 30 epochs: dynamic mean train accuracy over the last 5 epochs >= classical + 10 points on every seed.
+
+    The final epoch of a chaotic trajectory moves with last-bit rounding;
+    the mean over the tail moves less.
+    """
+    histories, _ = training_comparison
+    margins = [statistics.fmean(m.train_acc for m in dynamic[-TAIL_EPOCHS:])
+               - statistics.fmean(m.train_acc for m in classical[-TAIL_EPOCHS:])
+               for dynamic, classical in _arch1_pairs(histories)]
+    ok = all(m >= 0.10 for m in margins)
+    _report(capsys, ok, f"dynamic vs classical train accuracy over the last {TAIL_EPOCHS} epochs (arch1)",
+            "margins " + "/".join(f"{m * 100:+.1f}pp" for m in margins) + " (bar +10pp on each seed)")
 
 
 def test_deep_net_generalization_gap(capsys, training_comparison):

@@ -1,6 +1,16 @@
-"""The package's public names: every entry of __all__ exists and star-imports."""
+"""The package's public names: what a user of run and compare needs, each resolving and star-importing."""
 
 import lifedrop
+
+PUBLIC = {
+    "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "OverfitMonitor", "RegularizerConfig",
+    "RunConfig", "compare", "evaluate", "load_cifar10", "make_blobs", "run",
+}
+
+
+def test_all_is_the_public_surface():
+    # the lower layers (nn, lattice, regularizers, seeding) are imported from their own modules
+    assert sorted(lifedrop.__all__) == sorted(PUBLIC)
 
 
 def test_every_exported_name_resolves():

@@ -6,8 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from lifedrop.data import (FILE_BYTES, RECORD_BYTES, TEST_FILE, TRAIN_FILES, BatchPlan,
-                           CifarFormatError, Dataset, batches, load_cifar10, make_blobs)
+from lifedrop.data import (FILE_BYTES, RECORD_BYTES, TEST_FILE, TRAIN_FILES, CifarFormatError, Dataset,
+                           batches, load_cifar10, make_blobs)
 
 
 def lstsq_accuracy(train: Dataset, test: Dataset) -> float:
@@ -126,39 +126,34 @@ class TestBatches:
 
     def test_batch_sizes(self):
         d = self.dataset(1000)
-        sizes = [x.shape[0] for x, _ in batches(d, BatchPlan(512, seed=1), epoch=1)]
+        sizes = [x.shape[0] for x, _ in batches(d, 512, seed=1, epoch=1)]
         assert sizes == [512, 488]
 
     def test_every_sample_exactly_once(self):
         d = self.dataset(100)
         seen = []
-        for x, y in batches(d, BatchPlan(32, seed=2), epoch=3):
+        for x, y in batches(d, 32, seed=2, epoch=3):
             seen.extend(np.round(x[:, 0] * 100).astype(int).tolist())
-            assert y.shape[1] == 4
+            assert y.shape == (x.shape[0],)
         assert sorted(seen) == list(range(100))
 
-    def test_one_hot_labels_match(self):
+    def test_labels_match_rows(self):
         d = self.dataset(50)
-        for x, y in batches(d, BatchPlan(16, seed=4), epoch=0):
+        for x, y in batches(d, 16, seed=4, epoch=0):
             idx = np.round(x[:, 0] * 50).astype(int)
-            assert np.array_equal(y.argmax(axis=1), d.labels[idx])
-            assert np.array_equal(y.sum(axis=1), np.ones(len(idx)))
+            assert y.dtype == np.int64 and np.array_equal(y, d.labels[idx])
 
     def test_same_seed_and_epoch_reproduce_order(self):
         d = self.dataset(64)
-        a = [x[:, 0].tolist() for x, _ in batches(d, BatchPlan(16, seed=5), epoch=2)]
-        b = [x[:, 0].tolist() for x, _ in batches(d, BatchPlan(16, seed=5), epoch=2)]
+        a = [x[:, 0].tolist() for x, _ in batches(d, 16, seed=5, epoch=2)]
+        b = [x[:, 0].tolist() for x, _ in batches(d, 16, seed=5, epoch=2)]
         assert a == b
 
     def test_different_epochs_reshuffle(self):
         d = self.dataset(64)
-        a = [x[:, 0].tolist() for x, _ in batches(d, BatchPlan(64, seed=5), epoch=1)]
-        b = [x[:, 0].tolist() for x, _ in batches(d, BatchPlan(64, seed=5), epoch=2)]
+        a = [x[:, 0].tolist() for x, _ in batches(d, 64, seed=5, epoch=1)]
+        b = [x[:, 0].tolist() for x, _ in batches(d, 64, seed=5, epoch=2)]
         assert a != b
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            BatchPlan(0, seed=1)
 
 
 class TestLoadCifar10:

@@ -306,24 +306,31 @@ class TestRun:
 
     def test_reactivation_accounting_replays(self, tmp_path):
         # force a trigger every epoch after the first (nothing can improve
-        # by 100), then replay the lattice trajectory independently
-        cfg = blob_config(tmp_path, reg_kind="dynamic", epochs=6, patience=1, min_delta=100.0,
-                          lattice_density=0.5, reactivation_fraction=0.25)
+        # by 100), then replay the lattice trajectory independently: every
+        # epoch's snapshot and the revived-cell counts must match. The board
+        # is 4 x 8: on a single row almost every revived cell dies at the
+        # next step, so the snapshots hardly depend on which cells revived.
+        cfg = blob_config(tmp_path, reg_kind="dynamic", architecture=[8] * 4, epochs=6, patience=1,
+                          min_delta=100.0, lattice_density=0.5, reactivation_fraction=0.25,
+                          snapshot_epochs=tuple(range(1, 7)))
         history = run(cfg)
         assert history[0].reactivated_cells == 0  # first update improves on +inf
         assert sum(m.reactivated_cells for m in history[1:]) > 0
 
-        lat = init_random(1, 8, 0.5, seed=derive_seed(cfg.seed, "lattice"))
-        generation = 0
+        lat = init_random(4, 8, 0.5, seed=derive_seed(cfg.seed, "lattice"))
+        boards = [lat]  # the board each epoch trains under
         expected = [0]
-        for _ in range(5):
+        for generation in range(1, 6):
             lat = step(lat)
-            generation += 1
+            boards.append(lat)
             dead = lat.size - int(lat.sum())
             quota = math.ceil(0.25 * dead)
             before = int(lat.sum())
             lat = reactivate(lat, quota, derive_seed(cfg.seed, "reactivate", generation))
             expected.append(int(lat.sum()) - before)
+        for epoch, board in enumerate(boards, start=1):
+            snapshot = (cfg.output_dir / f"lattice_epoch_{epoch}.pbm").read_text().splitlines()[2:]
+            assert snapshot == [" ".join(map(str, row)) for row in board], f"epoch {epoch}"
         assert [m.reactivated_cells for m in history] == expected
 
     def test_live_fraction_column_tracks_lattice(self, tmp_path):

@@ -26,7 +26,7 @@ def mask_scales(masks):
 
 def loss_of(network, x, y, scales=None):
     probs, _ = nn.forward(network, x, scales=scales)
-    return nn.cross_entropy(y, probs)
+    return nn.cross_entropy(probs[np.arange(y.shape[0]), y])
 
 
 def numeric_grads(network, x, y, scales=None, eps=1e-5):
@@ -120,14 +120,14 @@ def test_relu_sign_cases():
 
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
-        assert np.allclose(nn.softmax([[0.0, 0.0, 0.0, 0.0]]), 0.25, atol=1e-15)
+        assert np.allclose(nn.softmax(np.zeros((1, 4))), 0.25, atol=1e-15)
 
     def test_closed_form_example(self):
-        out = nn.softmax([[math.log(1.0), math.log(3.0)]])
+        out = nn.softmax(np.array([[math.log(1.0), math.log(3.0)]]))
         assert np.allclose(out, [[0.25, 0.75]], atol=1e-14)
 
     def test_large_logits_do_not_overflow(self):
-        out = nn.softmax([[1000.0, 1000.0]])
+        out = nn.softmax(np.array([[1000.0, 1000.0]]))
         assert np.array_equal(out, [[0.5, 0.5]])
 
     def test_rows_sum_to_one(self):
@@ -140,45 +140,30 @@ class TestSoftmax:
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            nn.softmax([[0.0, float("nan")]])
-
-    def test_1d_rejected(self):
-        with pytest.raises(ValueError):
-            nn.softmax(np.zeros(3))
+            nn.softmax(np.array([[0.0, float("nan")]]))
 
 
 class TestCrossEntropy:
+    # cross_entropy takes each row's probability of its true class
     def test_perfect_prediction_is_zero(self):
-        y = np.array([[0.0, 1.0, 0.0]])
-        assert nn.cross_entropy(y, y) == 0.0
+        assert nn.cross_entropy(np.array([1.0])) == 0.0
 
     def test_uniform_over_ten_classes(self):
-        y = np.zeros((1, 10))
-        y[0, 3] = 1.0
-        loss = nn.cross_entropy(y, np.full((1, 10), 0.1))
-        assert abs(loss - math.log(10)) < 1e-12
+        assert abs(nn.cross_entropy(np.array([0.1])) - math.log(10)) < 1e-12
 
     def test_batch_mean(self):
-        y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        p = np.array([[0.5, 0.5], [0.25, 0.75]])
         expected = (-math.log(0.5) - math.log(0.75)) / 2
-        assert abs(nn.cross_entropy(y, p) - expected) < 1e-12
+        assert abs(nn.cross_entropy(np.array([0.5, 0.75])) - expected) < 1e-12
 
     def test_zero_probability_is_clamped(self):
-        y = np.array([[1.0, 0.0]])
-        p = np.array([[0.0, 1.0]])
-        assert abs(nn.cross_entropy(y, p) - (-math.log(1e-12))) < 1e-9
+        assert abs(nn.cross_entropy(np.array([0.0])) - (-math.log(1e-12))) < 1e-9
 
     def test_never_negative(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(20, 5))
         probs = nn.softmax(z)
-        labels = np.eye(5)[rng.integers(0, 5, size=20)]
-        assert nn.cross_entropy(labels, probs) >= 0.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            nn.cross_entropy(np.eye(3), np.eye(4))
+        labels = rng.integers(0, 5, size=20)
+        assert nn.cross_entropy(probs[np.arange(20), labels]) >= 0.0
 
 
 class TestInitNetwork:
@@ -273,21 +258,6 @@ class TestForward:
             assert np.array_equal(activations[l + 1], np.maximum(nn.dense_forward(layer, activations[l]), 0.0))
         assert gains == [None, None]
 
-    def test_mask_for_output_layer_rejected(self):
-        net = random_network([5], 6, 3, seed=8)
-        with pytest.raises(ValueError, match="output layer"):
-            nn.forward(net, np.zeros((2, 6)), scales=mask_scales([np.zeros(5), np.zeros(3)]))
-
-    def test_wrong_mask_count_rejected(self):
-        net = random_network([5, 4, 3], 6, 2, seed=8)
-        with pytest.raises(ValueError, match="entries"):
-            nn.forward(net, np.zeros((2, 6)), scales=mask_scales([np.zeros(5)]))
-
-    def test_wrong_mask_length_rejected(self):
-        net = random_network([5], 6, 3, seed=8)
-        with pytest.raises(ValueError, match="width"):
-            nn.forward(net, np.zeros((2, 6)), scales=mask_scales([np.zeros(4)]))
-
     def test_scales_rescale_preactivations(self):
         net = random_network([5], 6, 3, seed=9)
         x = np.random.default_rng(7).normal(size=(2, 6))
@@ -304,19 +274,31 @@ class TestForward:
 
 class TestBackward:
     def test_output_layer_shortcut(self):
-        # d(loss)/d(logits) = (probs - labels) / batch surfaces directly as
-        # the output layer's bias gradient.
+        # d(loss)/d(logits) = (probs - one-hot labels) / batch surfaces
+        # directly as the output layer's bias gradient.
         net = random_network([3], 2, 2, seed=14)
         x = np.array([[0.3, -1.2]])
-        y = np.array([[1.0, 0.0]])
         probs, trace = nn.forward(net, x)
-        grads = nn.backward(net, trace, y)
-        assert np.allclose(grads[-1][1], (probs - y)[0], atol=1e-15)
+        grads = nn.backward(net, trace, np.array([0]))
+        assert np.allclose(grads[-1][1], probs[0] - [1.0, 0.0], atol=1e-15)
+
+    def test_output_gradients_equal_the_one_hot_form_bitwise(self):
+        # backward subtracts 1 at each row's label; that must round exactly like
+        # probs - one_hot(labels), also where a probability is exactly 0
+        net = random_network([4], 3, 5, seed=3)
+        rng = np.random.default_rng(71)
+        x = rng.normal(size=(6, 3)) * 1000.0
+        labels = rng.integers(0, 5, size=6)
+        probs, trace = nn.forward(net, x)
+        assert (probs[np.arange(6), labels] == 0.0).any()
+        dz = (probs - np.eye(5)[labels]) / 6
+        dw, db = nn.backward(net, trace, labels)[-1]
+        assert np.array_equal(dw, dz.T @ trace[0][1]) and np.array_equal(db, dz.sum(axis=0))
 
     def test_fully_masked_layer_gets_zero_gradient(self):
         net = random_network([4, 4], 5, 3, seed=15)
         x = np.random.default_rng(8).normal(size=(3, 5))
-        y = np.eye(3)[[0, 1, 2]]
+        y = np.array([0, 1, 2])
         _, trace = nn.forward(net, x, scales=mask_scales([np.ones(4), np.zeros(4)]))
         grads = nn.backward(net, trace, y)
         assert np.array_equal(grads[0][0], np.zeros((4, 5)))
@@ -328,7 +310,7 @@ class TestBackward:
             net = random_network([4, 3], 3, 2, seed=seed)
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(size=(3, 3)) * 2.0
-            y = np.eye(2)[rng.integers(0, 2, size=3)]
+            y = rng.integers(0, 2, size=3)
             assert min_abs_hidden_preactivation(net, x) > 1e-3  # stay off the ReLU kink
             _, trace = nn.forward(net, x)
             worst = max(worst, max_relative_error(nn.backward(net, trace, y),
@@ -339,7 +321,7 @@ class TestBackward:
         net = random_network([5, 4], 3, 2, seed=8)
         rng = np.random.default_rng(68)
         x = rng.normal(size=(2, 3)) * 2.0
-        y = np.eye(2)[[0, 1]]
+        y = np.array([0, 1])
         masks = [np.array([0.0, 1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])]
         scales = mask_scales(masks)
         _, trace = nn.forward(net, x, scales=scales)
@@ -354,7 +336,7 @@ class TestBackward:
         net = random_network([4], 3, 2, seed=17)
         rng = np.random.default_rng(70)
         x = rng.normal(size=(2, 3)) * 2.0
-        y = np.eye(2)[[1, 0]]
+        y = np.array([1, 0])
         scales = [(rng.uniform(0.5, 1.5, size=(2, 4)), rng.uniform(-0.2, 0.2, size=(2, 4)))]
         _, trace = nn.forward(net, x, scales=scales)
         analytic = nn.backward(net, trace, y)
@@ -365,13 +347,7 @@ class TestBackward:
         other = random_network([5], 3, 2, seed=0)
         _, trace = nn.forward(other, np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            nn.backward(net, trace, np.array([[1.0, 0.0]]))
-
-    def test_mismatched_labels_rejected(self):
-        net = random_network([4], 3, 2, seed=0)
-        _, trace = nn.forward(net, np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            nn.backward(net, trace, np.array([[1.0, 0.0]]))
+            nn.backward(net, trace, np.array([0]))
 
 
 class TestSgdStep:
@@ -419,7 +395,7 @@ def test_loss_drops_on_separable_data():
     # by at least 90%.
     rng = np.random.default_rng(44)
     x = np.vstack([rng.normal(-2.0, 0.3, size=(40, 4)), rng.normal(2.0, 0.3, size=(40, 4))])
-    y = np.eye(2)[np.repeat([0, 1], 40)]
+    y = np.repeat([0, 1], 40)
     net = nn.init_network([8], 4, 2, seed=7)
     first = loss_of(net, x, y)
     for _ in range(200):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from lifedrop.data import BatchPlan, batches, make_blobs
+from lifedrop.data import batches, make_blobs
 from lifedrop.harness import RunConfig, run
 from lifedrop.lattice import reactivate, step
 from lifedrop.regularizers import RegularizerConfig, alpha_affine, classical_gain, gaussian_gain
@@ -54,8 +54,7 @@ def _reference(config, train, val):
     history, boards = [], []
     for epoch in range(1, config.epochs + 1):
         boards.append(board)
-        plan = BatchPlan(config.batch_size, derive_seed(seed, "batches"))
-        for batch_i, (x, y) in enumerate(batches(train, plan, epoch)):
+        for batch_i, (x, labels) in enumerate(batches(train, config.batch_size, derive_seed(seed, "batches"), epoch)):
             scales = []
             for l, width in enumerate(WIDTHS):
                 shape, key = (x.shape[0], width), derive_seed(reg.seed, "noise", epoch, batch_i, l)
@@ -68,7 +67,7 @@ def _reference(config, train, val):
                 else:  # the board as it stood when the epoch began; all ones without one
                     scales.append((1.0 - board[l] if reg.kind == "dynamic" else 1.0, 0.0))
             acts = forward(x, scales)
-            delta = (acts[-1] - y) / x.shape[0]
+            delta = (acts[-1] - np.eye(train.class_count)[labels]) / x.shape[0]
             for l in range(len(params) - 1, -1, -1):
                 w = params[l][0]
                 grad_w, grad_b = (acts[l].T @ delta).T, np.ones(x.shape[0]) @ delta
