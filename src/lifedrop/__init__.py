@@ -6,9 +6,8 @@ reactivation of dead cells; classical, Gaussian, and alpha dropout are
 provided as fixed baselines.
 """
 
-from lifedrop.data import Dataset, load_cifar10, make_blobs
-from lifedrop.harness import (ARCH_PRESETS, BlobSpec, ConfigError, EpochMetrics, RunConfig, compare,
-                              evaluate, run)
+from lifedrop.data import BlobSpec, Dataset, load_cifar10, make_blobs
+from lifedrop.harness import ARCH_PRESETS, ConfigError, EpochMetrics, RunConfig, compare, evaluate, run
 from lifedrop.regularizers import OverfitMonitor, RegularizerConfig
 
 __all__ = [

@@ -37,10 +37,10 @@ class Dataset:
 
     uint8 features are kept as they are and mean byte / 255: the
     CIFAR-10 train and validation splits hold about 176 MiB of bytes
-    rather than 1.4 GiB of float64. (A uint8 input used to be cast to
-    floats in 0..255.) Any other dtype is coerced to float64, without a
-    copy when it already is float64. Read features through `rows`, which
-    returns float64.
+    rather than 1.4 GiB of float64. Any other dtype is coerced to
+    float64, without a copy when it already is float64. Read features
+    through `rows`, which returns float64. Labels must have an integer
+    dtype (not bool) and are stored as int64.
     """
 
     features: np.ndarray  # (n, dim) uint8 bytes or float64; read through rows()
@@ -52,7 +52,10 @@ class Dataset:
         features = np.asarray(self.features)
         if features.dtype != np.uint8:
             features = features.astype(np.float64, copy=False)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if not np.issubdtype(labels.dtype, np.integer):  # a float or bool label is no class index
+            raise ValueError(f"labels must be integer class indices, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
@@ -120,6 +123,24 @@ def load_cifar10(directory) -> tuple[Dataset, Dataset]:
             Dataset(val_x, val_y, name="cifar10-validation", class_count=CIFAR_CLASSES))
 
 
+@dataclass(frozen=True)
+class BlobSpec:
+    """Parameters for the synthetic-blob data source (see make_blobs), checked when built."""
+
+    per_class: int = 500
+    classes: int = 4
+    dim: int = 32
+    separation: float = 10.0
+
+    def __post_init__(self):
+        if self.per_class < 1 or self.classes < 1 or self.dim < 1:
+            raise ValueError("per_class, classes, and dim must be positive")
+        if not 0 <= self.separation < np.inf:  # also false for NaN
+            raise ValueError(f"separation must be finite and non-negative, got {self.separation}")
+        if self.dim < self.classes:
+            raise ValueError(f"dim ({self.dim}) must be at least classes ({self.classes}) for axis-aligned means")
+
+
 def make_blobs(per_class: int, classes: int, dim: int, separation: float, seed: int) -> Dataset:
     """Axis-aligned Gaussian clusters rescaled into [0, 1].
 
@@ -127,12 +148,7 @@ def make_blobs(per_class: int, classes: int, dim: int, separation: float, seed: 
     within-class variance, so `separation` is the between-class distance
     in standard deviations. Rows are shuffled; everything is seeded.
     """
-    if per_class < 1 or classes < 1 or dim < 1:
-        raise ValueError("per_class, classes, and dim must be positive")
-    if separation < 0:
-        raise ValueError(f"separation must be non-negative, got {separation}")
-    if dim < classes:
-        raise ValueError(f"dim ({dim}) must be at least classes ({classes}) for axis-aligned means")
+    BlobSpec(per_class, classes, dim, separation)  # its checks
     rng = np.random.default_rng(seed)
     means = np.zeros((classes, dim))
     means[np.arange(classes), np.arange(classes)] = separation

@@ -18,7 +18,7 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from lifedrop import nn
-from lifedrop.data import Dataset, batches, load_cifar10, make_blobs
+from lifedrop.data import BlobSpec, Dataset, batches, load_cifar10, make_blobs
 from lifedrop.lattice import init_random, write_pbm
 from lifedrop.regularizers import (OverfitMonitor, RegularizerConfig, alpha_affine, classical_gain,
                                    gaussian_gain, on_epoch_end_dynamic)
@@ -35,16 +35,6 @@ SUMMARY_HEADER = "run,regularizer,final_train_loss,final_val_loss,final_train_ac
 
 class ConfigError(ValueError):
     """Bad run configuration (unknown preset, missing data source, ...)."""
-
-
-@dataclass(frozen=True)
-class BlobSpec:
-    """Parameters for the synthetic-blob data source."""
-
-    per_class: int = 500
-    classes: int = 4
-    dim: int = 32
-    separation: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +63,10 @@ class RunConfig:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # also false for NaN
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.data_dir is not None and self.blobs is not None:
+            raise ConfigError("set one data source, data_dir or blobs, not both")
         if self.regularizer.kind == "dynamic" and len(set(self.widths)) != 1:
             raise ConfigError("dynamic regularizer needs uniform hidden widths "
                               f"(the lattice is rectangular), got {self.widths}")
@@ -146,28 +138,20 @@ def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
     if config.data_dir is not None:
         return load_cifar10(config.data_dir)
     if config.blobs is not None:
-        b = config.blobs
-        train = make_blobs(b.per_class, b.classes, b.dim, b.separation,
-                           seed=derive_seed(config.seed, "blobs", 0))
-        val = make_blobs(max(1, b.per_class // 5), b.classes, b.dim, b.separation,
-                         seed=derive_seed(config.seed, "blobs", 1))
-        return train, val
+        b = config.blobs  # train, then a validation set a fifth the size
+        return tuple(make_blobs(n, b.classes, b.dim, b.separation, seed=derive_seed(config.seed, "blobs", i))
+                     for i, n in enumerate((b.per_class, max(1, b.per_class // 5))))
     raise ConfigError("no data source configured: set data_dir or blobs, or inject datasets")
 
 
 def _batch_scales(widths, reg: RegularizerConfig, batch_n: int, epoch: int, batch_i: int):
-    """Fresh per-batch (gain, offset) noise for every hidden layer."""
-    scales = []
-    for l, width in enumerate(widths):
-        shape = (batch_n, width)
-        seed = derive_seed(reg.seed, "noise", epoch, batch_i, l)
-        if reg.kind == "classical":
-            scales.append((classical_gain(shape, reg.rate, seed), None))
-        elif reg.kind == "gaussian":
-            scales.append((gaussian_gain(shape, reg.rate, seed), None))
-        else:
-            scales.append(alpha_affine(shape, reg.rate, seed))
-    return scales
+    """One batch's fresh (gain, offset) noise per hidden layer; None for the none and dynamic kinds."""
+    # built per call, since perfbench's tracer swaps these module attributes at run time
+    draw = {"classical": classical_gain, "gaussian": gaussian_gain, "alpha": alpha_affine}.get(reg.kind)
+    if draw is None:
+        return None
+    return [draw((batch_n, width), reg.rate, derive_seed(reg.seed, "noise", epoch, batch_i, l))
+            for l, width in enumerate(widths)]
 
 
 def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[EpochMetrics]:
@@ -202,8 +186,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
                          f"classes; the training set has {width} and {classes}")
     network = nn.init_network(config.widths, width, classes, seed=derive_seed(config.seed, "init"))
 
-    board = None
-    monitor = None
+    board = monitor = None
     if reg.kind == "dynamic":
         board = init_random(len(config.widths), config.widths[0], reg.lattice_density,
                             seed=derive_seed(config.seed, "lattice"))
@@ -223,10 +206,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
             trained = [(w[np.ix_(rows, cols)], b[rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
 
         for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, batch_seed, epoch)):
-            scales = None
-            if reg.kind in ("classical", "gaussian", "alpha"):
-                scales = _batch_scales(config.widths, reg, x.shape[0], epoch, batch_i)
-            _, trace = nn.forward(trained, x, scales=scales)
+            _, trace = nn.forward(trained, x, scales=_batch_scales(config.widths, reg, x.shape[0], epoch, batch_i))
             nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
 
         if board is not None:

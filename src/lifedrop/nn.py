@@ -51,17 +51,16 @@ def cross_entropy(true_probs: np.ndarray) -> float:
 def forward(network, batch: np.ndarray, scales=None):
     """Run the network on a batch, returning (probabilities, trace).
 
-    scales: optional list with one (gain, offset) pair per hidden layer,
-    applied elementwise to that layer's pre-activations before ReLU as
-    z * gain + offset; an offset of None means no shift. Each entry
-    broadcasts against (batch, width); the noise baselines pass a fresh
-    (batch, width) draw per batch. The dynamic board passes no scales:
-    harness.run gives forward a network without the units it drops. The
-    output layer is never scaled.
+    scales: None, or one (gain, offset) pair per hidden layer as a noise
+    draw in regularizers returns it, applied elementwise to that layer's
+    pre-activations before ReLU as z * gain + offset (an offset of None
+    is no shift); each pair broadcasts against (batch, width). The
+    dynamic board passes no scales: harness.run gives forward a network
+    without the units it drops. The output layer is never scaled.
 
     The trace is what backward reads, (activations, gains): activations
     holds the batch, every hidden layer's ReLU output and the
-    probabilities; gains holds each hidden layer's gain (None for none).
+    probabilities; gains holds each hidden layer's gain (None without scales).
     """
     x = np.asarray(batch, dtype=np.float64)
     input_dim = network[0][0].shape[1]
@@ -72,7 +71,7 @@ def forward(network, batch: np.ndarray, scales=None):
     for l, layer in enumerate(network[:-1]):
         z = dense_forward(layer, activations[-1])
         gain = None
-        if scales is not None and scales[l] is not None:
+        if scales is not None:
             gain, offset = scales[l]
             z = z * gain if offset is None else z * gain + offset
         activations.append(relu(z))

@@ -1,12 +1,13 @@
 """The four dropout strategies behind one config, plus the stagnation monitor.
 
-Classical, Gaussian and alpha dropout draw fresh per-batch (gain, offset)
-noise for the pre-activations. The dynamic variant drops the units that
-are alive on the Game-of-Life lattice, which advances one generation per
-epoch; harness.run trains each epoch without them, the same as a gain of
-1 - mask on those pre-activations. So the comparison between strategies
-is site-controlled; evaluation applies none of them. The gain functions
-trust their rate to lie in [0, 1), the range RegularizerConfig enforces.
+Classical, Gaussian and alpha dropout each draw fresh per-batch noise as
+the (gain, offset) pair that nn.forward applies to the pre-activations.
+The dynamic variant drops the units that are alive on the Game-of-Life
+lattice, which advances one generation per epoch; harness.run trains
+each epoch without them, the same as a gain of 1 - mask on those
+pre-activations. So the comparison between strategies is site-controlled;
+evaluation applies none of them. The draws trust their rate to lie in
+[0, 1), the range RegularizerConfig enforces.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class OverfitMonitor:
     def __post_init__(self):
         if self.patience < 1:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
-        if self.min_delta < 0:
-            raise ValueError(f"min_delta must be non-negative, got {self.min_delta}")
+        if not 0 <= self.min_delta < math.inf:  # also false for NaN
+            raise ValueError(f"min_delta must be finite and non-negative, got {self.min_delta}")
 
 
 def monitor_update(monitor: OverfitMonitor, val_loss: float) -> tuple[OverfitMonitor, bool]:
@@ -77,17 +78,16 @@ def monitor_update(monitor: OverfitMonitor, val_loss: float) -> tuple[OverfitMon
     return replace(monitor, epochs_since_improvement=stalled), False
 
 
-def classical_gain(shape, rate: float, seed: int) -> np.ndarray:
-    """Per-element factor: 0 with probability rate, else 1/(1-rate)."""
+def classical_gain(shape, rate: float, seed: int) -> tuple[np.ndarray, None]:
+    """(gain, None): a gain of 0 with probability rate, else 1/(1-rate)."""
     rng = np.random.default_rng(seed)
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+    return (rng.random(shape) >= rate) / (1.0 - rate), None
 
 
-def gaussian_gain(shape, rate: float, seed: int) -> np.ndarray:
-    """Per-element multiplier ~ Normal(1, rate/(1-rate))."""
+def gaussian_gain(shape, rate: float, seed: int) -> tuple[np.ndarray, None]:
+    """(gain, None) with the gain ~ Normal(1, rate/(1-rate))."""
     rng = np.random.default_rng(seed)
-    return rng.normal(1.0, math.sqrt(rate / (1.0 - rate)), size=shape)
+    return rng.normal(1.0, math.sqrt(rate / (1.0 - rate)), size=shape), None
 
 
 def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,10 +102,8 @@ def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     a = (p + ALPHA_PRIME**2 * p * (1.0 - p)) ** -0.5
     b = -a * (1.0 - p) * ALPHA_PRIME
     rng = np.random.default_rng(seed)
-    keep = (rng.random(shape) < p).astype(np.float64)
-    gain = a * keep
-    offset = a * ALPHA_PRIME * (1.0 - keep) + b
-    return gain, offset
+    keep = rng.random(shape) < p
+    return a * keep, np.where(keep, b, a * ALPHA_PRIME + b)
 
 
 def on_epoch_end_dynamic(board: np.ndarray, generation: int, monitor: OverfitMonitor, val_loss: float,

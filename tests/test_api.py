@@ -1,6 +1,14 @@
-"""The package's public names: what a user of run and compare needs, each resolving and star-importing."""
+"""The package's public names: what a user of run and compare needs, each resolving and star-importing.
+
+Also the module attributes perfbench's tracer wraps, which must all exist.
+"""
+
+import sys
+from pathlib import Path
 
 import lifedrop
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC = {
     "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "OverfitMonitor", "RegularizerConfig",
@@ -23,3 +31,26 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from lifedrop import *", namespace)  # a stale __all__ entry raises AttributeError here
     assert set(lifedrop.__all__) <= set(namespace)
+
+
+def test_every_perfbench_trace_hook_exists(monkeypatch):
+    # Tracer.install skips a missing attribute, so a renamed import would make its figures read 0
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # importing leaves no __pycache__ in perfbench/
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workload
+
+    install, missing = spans.Tracer.install, []
+
+    def recording_install(tracer, module, attr, wrapper):
+        if not hasattr(module, attr):
+            missing.append(f"{module.__name__}.{attr}")
+        install(tracer, module, attr, wrapper)
+
+    class NoRun:
+        def train(self, run=None) -> bool:
+            return False  # traced_run installs every hook, then restores them without training
+
+    monkeypatch.setattr(spans.Tracer, "install", recording_install)
+    workload.traced_run(NoRun())
+    assert missing == []

@@ -22,6 +22,9 @@ class TestDatasetValue:
     def test_label_range_enforced(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), np.array([0, 4]), name="x", class_count=4)
+        for labels in ([0.5, 1.7, 2.2], [True, False, True]):  # no class indices, though they would cast to some
+            with pytest.raises(ValueError, match="integer"):
+                Dataset(np.zeros((3, 2)), labels, name="x", class_count=4)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -34,20 +37,20 @@ class TestDatasetValue:
 
     def test_float64_features_are_not_copied(self):
         x = np.random.default_rng(0).random((4, 3))
-        d = Dataset(x, np.zeros(4), name="x", class_count=1)
+        d = Dataset(x, np.zeros(4, dtype=np.int64), name="x", class_count=1)
         assert np.shares_memory(d.features, x)
         assert np.shares_memory(d.rows(slice(1, 3)), x)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_other_dtypes_coerced_to_float64(self, dtype):
         x = np.arange(6, dtype=dtype).reshape(2, 3)
-        d = Dataset(x, np.zeros(2), name="x", class_count=1)
+        d = Dataset(x, np.zeros(2, dtype=np.int64), name="x", class_count=1)
         assert d.features.dtype == np.float64
         assert np.array_equal(d.rows(slice(None)), np.arange(6.0).reshape(2, 3))
 
     def test_uint8_features_mean_bytes_over_255(self):
         x = np.array([[0, 51, 255]], dtype=np.uint8)
-        d = Dataset(x, np.zeros(1), name="x", class_count=1)
+        d = Dataset(x, np.zeros(1, dtype=np.int64), name="x", class_count=1)
         assert d.features.dtype == np.uint8
         assert np.array_equal(d.rows(slice(None)), [[0.0, 0.2, 1.0]])
 
@@ -57,7 +60,7 @@ class TestRows:
 
     def dataset(self):
         raw = np.arange(256, dtype=np.uint8).reshape(32, 8)
-        return Dataset(raw, np.zeros(32), name="bytes", class_count=1), raw.astype(np.float64) / 255.0
+        return Dataset(raw, np.zeros(32, dtype=np.int64), name="bytes", class_count=1), raw.astype(np.float64) / 255.0
 
     def test_slice_is_bitwise_exact(self):
         d, expected = self.dataset()

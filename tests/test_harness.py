@@ -190,7 +190,7 @@ class TestManifest:
     @pytest.mark.parametrize("architecture", ["arch3", "custom:16,16", (16, 16), [16, 16]])
     @pytest.mark.parametrize("kind", ["none", "classical", "gaussian", "alpha", "dynamic"])
     def test_round_trip(self, tmp_path, kind, architecture, source):
-        data = {"data_dir": {"data_dir": tmp_path / "cifar"}, "blobs": {"blobs": BLOBS},
+        data = {"data_dir": {"data_dir": tmp_path / "cifar", "blobs": None}, "blobs": {"blobs": BLOBS},
                 "injected": {"blobs": None}}[source]
         cfg = blob_config(tmp_path, reg_kind=kind, architecture=architecture, rate=0.25,
                           lattice_density=0.75, reactivation_fraction=0.5, learning_rate=0.1 + 0.2,
@@ -355,10 +355,26 @@ class TestRun:
         ({"epochs": -1}, "epochs"), ({"batch_size": 0}, "batch_size"),
         ({"learning_rate": 0.0}, "learning_rate"), ({"architecture": "arch7"}, "arch7"),
         ({"patience": 0}, "patience"), ({"min_delta": -1e-3}, "min_delta"),
+        ({"learning_rate": math.nan}, "learning_rate"), ({"learning_rate": math.inf}, "learning_rate"),
+        ({"min_delta": math.nan}, "min_delta"), ({"min_delta": math.inf}, "min_delta"),
     ])
     def test_bad_config_rejected_when_built(self, tmp_path, kind, bad, message):
         with pytest.raises(ValueError, match=message):
             blob_config(tmp_path, reg_kind=kind, **bad)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"per_class": 0}, "positive"), ({"classes": 8, "dim": 4}, "at least classes"),
+        ({"separation": -1.0}, "separation"), ({"separation": math.nan}, "separation"),
+    ])
+    def test_bad_blob_spec_rejected_when_built(self, tmp_path, spec, message):
+        with pytest.raises(ValueError, match=message):
+            blob_config(tmp_path, blobs=BlobSpec(**spec))
+        assert not (tmp_path / "run").exists()
+
+    def test_two_data_sources_rejected_when_built(self, tmp_path):
+        with pytest.raises(ConfigError, match="not both"):
+            blob_config(tmp_path, data_dir=tmp_path / "cifar")
         assert not (tmp_path / "run").exists()
 
     def test_missing_data_source_rejected(self, tmp_path):

@@ -20,7 +20,7 @@ def random_network(arch, input_dim, class_count, seed):
 
 
 def mask_scales(masks):
-    """The dynamic regularizer's scales: a 1 in a binary mask drops that unit."""
+    """Scales that drop units: a 1 in a binary mask gives that unit a gain of 0 and no offset."""
     return [(1.0 - np.asarray(m, dtype=np.float64), None) for m in masks]
 
 

@@ -59,9 +59,9 @@ def _reference(config, train, val):
             for l, width in enumerate(WIDTHS):
                 shape, key = (x.shape[0], width), derive_seed(reg.seed, "noise", epoch, batch_i, l)
                 if reg.kind == "classical":
-                    scales.append((classical_gain(shape, reg.rate, key), 0.0))
+                    scales.append((classical_gain(shape, reg.rate, key)[0], 0.0))
                 elif reg.kind == "gaussian":
-                    scales.append((gaussian_gain(shape, reg.rate, key), 0.0))
+                    scales.append((gaussian_gain(shape, reg.rate, key)[0], 0.0))
                 elif reg.kind == "alpha":
                     scales.append(alpha_affine(shape, reg.rate, key))
                 else:  # the board as it stood when the epoch began; all ones without one

@@ -192,38 +192,40 @@ class TestDynamicMask:
 class TestClassical:
     def test_rate_zero_is_identity(self):
         z = np.random.default_rng(0).normal(size=(3, 5))
-        assert np.array_equal(z * classical_gain(z.shape, 0.0, seed=1), z)
+        gain, offset = classical_gain(z.shape, 0.0, seed=1)
+        assert offset is None and np.array_equal(z * gain, z)
 
     def test_inverted_scaling_keeps_the_mean(self):
-        out = classical_gain((1, 100_000), 0.5, seed=7)
+        out, _ = classical_gain((1, 100_000), 0.5, seed=7)
         assert 0.98 <= out.mean() <= 1.02
 
     def test_survivors_scaled_exactly(self):
-        out = classical_gain((1, 1000), 0.2, seed=3)
+        out, _ = classical_gain((1, 1000), 0.2, seed=3)
         assert set(np.round(np.unique(out), 12)) == {0.0, 1.25}
 
     def test_drop_fraction_near_rate(self):
-        out = classical_gain((1, 100_000), 0.3, seed=9)
+        out, _ = classical_gain((1, 100_000), 0.3, seed=9)
         assert abs((out == 0).mean() - 0.3) < 0.01
 
     def test_deterministic_per_seed(self):
-        a = classical_gain((4, 6), 0.5, seed=42)
-        b = classical_gain((4, 6), 0.5, seed=42)
+        a, _ = classical_gain((4, 6), 0.5, seed=42)
+        b, _ = classical_gain((4, 6), 0.5, seed=42)
         assert np.array_equal(a, b)
 
 
 class TestGaussian:
     def test_rate_zero_is_identity(self):
         z = np.random.default_rng(3).normal(size=(2, 8))
-        assert np.array_equal(z * gaussian_gain(z.shape, 0.0, seed=1), z)
+        gain, offset = gaussian_gain(z.shape, 0.0, seed=1)
+        assert offset is None and np.array_equal(z * gain, z)
 
     def test_multiplier_statistics(self):
-        gains = gaussian_gain((1_000_000,), 0.5, seed=11)
+        gains, _ = gaussian_gain((1_000_000,), 0.5, seed=11)
         assert 0.99 <= gains.var() <= 1.01  # rate/(1-rate) = 1
         assert abs(gains.mean() - 1.0) < 0.005
 
     def test_variance_tracks_rate(self):
-        gains = gaussian_gain((1_000_000,), 0.2, seed=12)
+        gains, _ = gaussian_gain((1_000_000,), 0.2, seed=12)
         assert abs(gains.var() - 0.25) < 0.005
 
 
