@@ -2,15 +2,18 @@
 
 Reads the canonical CIFAR-10 binary distribution (six files of 10,000
 records; each record is 1 label byte followed by 3072 pixel bytes laid
-out as three 1024-byte channel planes, row-major). The pixels stay in
-memory as their raw bytes; `Dataset.rows` scales each batch or
-evaluation chunk into [0, 1] by dividing by 255 as it is read, so only
-compute is float64. No other preprocessing. A synthetic Gaussian-blob
-generator stands in for fast, offline tests.
+out as three 1024-byte channel planes, row-major). Each split's files
+are read straight into one (records, 3073) uint8 buffer, and the
+split's features are the pixel columns of that buffer, a strided view
+of the raw bytes. `Dataset.rows` scales each batch or evaluation chunk
+into [0, 1] by dividing by 255 as it is read, so only compute is
+float64. No other preprocessing. A synthetic Gaussian-blob generator
+stands in for fast, offline tests.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +26,6 @@ RECORDS_PER_FILE = 10_000
 FILE_BYTES = RECORD_BYTES * RECORDS_PER_FILE  # 30,730,000
 TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 TEST_FILE = "test_batch.bin"
-FEATURE_DIM = 3072
 CIFAR_CLASSES = 10
 
 
@@ -35,12 +37,13 @@ class CifarFormatError(ValueError):
 class Dataset:
     """Labelled feature rows.
 
-    uint8 features are kept as they are and mean byte / 255: the
-    CIFAR-10 train and validation splits hold about 176 MiB of bytes
-    rather than 1.4 GiB of float64. Any other dtype is coerced to
-    float64, without a copy when it already is float64. Read features
-    through `rows`, which returns float64. Labels must have an integer
-    dtype (not bool) and are stored as int64.
+    uint8 features are kept as they are, also as a strided view such
+    as the pixel columns of load_cifar10's record buffer, and mean
+    byte / 255: the CIFAR-10 train and validation splits hold about
+    176 MiB of bytes rather than 1.4 GiB of float64. Any other dtype is
+    coerced to float64, without a copy when it already is float64. Read
+    features through `rows`, which returns float64. Labels must have an
+    integer dtype (not bool) and are stored as int64.
     """
 
     features: np.ndarray  # (n, dim) uint8 bytes or float64; read through rows()
@@ -86,21 +89,31 @@ class Dataset:
         return np.divide(x, 255.0, out=out, dtype=np.float64)
 
 
-def _read_batch_file(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
-    """Check one batch file and copy its pixel bytes and labels into the given rows."""
+def _read_batch_file(path: Path, records: np.ndarray) -> None:
+    """Check one batch file while reading it into `records`, a C-contiguous (10000, 3073) uint8 block.
+
+    An offset in an error counts from the start of the file.
+    """
     if not path.is_file():
         raise CifarFormatError(f"{path}: missing CIFAR-10 batch file")
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size != FILE_BYTES:
-        raise CifarFormatError(f"{path}: expected {FILE_BYTES} bytes, found {raw.size}")
-    records = raw.reshape(RECORDS_PER_FILE, RECORD_BYTES)
-    label_bytes = records[:, 0]
-    bad = np.flatnonzero(label_bytes > 9)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == FILE_BYTES:
+            size = fh.readinto(records)
+    if size != FILE_BYTES:
+        raise CifarFormatError(f"{path}: expected {FILE_BYTES} bytes, found {size}")
+    bad = np.flatnonzero(records[:, 0] > 9)
     if bad.size:
         record = int(bad[0])
-        raise CifarFormatError(f"{path}: label byte {label_bytes[record]} > 9 at offset {record * RECORD_BYTES}")
-    features[...] = records[:, 1:]
-    labels[...] = label_bytes
+        raise CifarFormatError(f"{path}: label byte {records[record, 0]} > 9 at offset {record * RECORD_BYTES}")
+
+
+def _read_split(base: Path, names, split: str) -> Dataset:
+    """The named files read in order into one record buffer, served as the Dataset `split`."""
+    records = np.empty((len(names) * RECORDS_PER_FILE, RECORD_BYTES), dtype=np.uint8)
+    for i, name in enumerate(names):
+        _read_batch_file(base / name, records[i * RECORDS_PER_FILE:(i + 1) * RECORDS_PER_FILE])
+    return Dataset(records[:, 1:], records[:, 0].astype(np.int64), name=split, class_count=CIFAR_CLASSES)
 
 
 def load_cifar10(directory) -> tuple[Dataset, Dataset]:
@@ -108,19 +121,14 @@ def load_cifar10(directory) -> tuple[Dataset, Dataset]:
 
     Train is the 50,000 samples of data_batch_1..5.bin; validation is the
     10,000-sample test_batch.bin (the held-out split all metrics are
-    reported on). Features are kept as uint8 pixel bytes.
+    reported on). Each split's files are read, with no intermediate
+    copy, into one (records, 3073) uint8 buffer in file order. The
+    split's features are the view `records[:, 1:]` of that buffer (row
+    stride 3073 bytes, so not C-contiguous); its labels are the label
+    column widened to int64.
     """
     base = Path(directory).expanduser()
-    train_x = np.empty((len(TRAIN_FILES) * RECORDS_PER_FILE, FEATURE_DIM), dtype=np.uint8)
-    train_y = np.empty(len(TRAIN_FILES) * RECORDS_PER_FILE, dtype=np.int64)
-    for i, name in enumerate(TRAIN_FILES):
-        part = slice(i * RECORDS_PER_FILE, (i + 1) * RECORDS_PER_FILE)
-        _read_batch_file(base / name, train_x[part], train_y[part])
-    val_x = np.empty((RECORDS_PER_FILE, FEATURE_DIM), dtype=np.uint8)
-    val_y = np.empty(RECORDS_PER_FILE, dtype=np.int64)
-    _read_batch_file(base / TEST_FILE, val_x, val_y)
-    return (Dataset(train_x, train_y, name="cifar10-train", class_count=CIFAR_CLASSES),
-            Dataset(val_x, val_y, name="cifar10-validation", class_count=CIFAR_CLASSES))
+    return _read_split(base, TRAIN_FILES, "cifar10-train"), _read_split(base, (TEST_FILE,), "cifar10-validation")
 
 
 @dataclass(frozen=True)

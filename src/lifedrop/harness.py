@@ -168,8 +168,8 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     network is the list of (W, b) arrays that run creates and
     nn.sgd_step updates in place. `data` optionally injects preloaded
     (train, validation) datasets in place of config.data_dir/config.blobs;
-    they must agree in feature width and class count, which is checked
-    before the first epoch.
+    they must agree in feature width and class count. Both checks, and
+    that float features are finite, run before the first epoch.
     """
     reg = config.regularizer
 
@@ -184,6 +184,9 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):
         raise ValueError(f"validation set has {val_ds.features.shape[1]} features and {val_ds.class_count} "
                          f"classes; the training set has {width} and {classes}")
+    for ds in (train_ds, val_ds):  # scanned here, not when a Dataset is built, to keep set-up cheap; bytes are finite
+        if ds.features.dtype != np.uint8 and not np.isfinite(ds.features).all():
+            raise ValueError(f"dataset {ds.name!r} has NaN or infinite features")
     network = nn.init_network(config.widths, width, classes, seed=derive_seed(config.seed, "init"))
 
     board = monitor = None

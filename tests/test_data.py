@@ -2,10 +2,12 @@
 
 import re
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lifedrop import data
 from lifedrop.data import (FILE_BYTES, RECORD_BYTES, TEST_FILE, TRAIN_FILES, CifarFormatError, Dataset,
                            batches, load_cifar10, make_blobs)
 
@@ -186,10 +188,12 @@ class TestLoadCifar10:
         top = train.rows(slice(None)).max()
         assert top == 1.0  # 255/255, no rounding residue
 
-    def test_pixels_held_as_contiguous_bytes(self, cifar_dir):
+    def test_pixels_are_a_view_of_one_record_buffer(self, cifar_dir):
         train, val = load_cifar10(cifar_dir)
         for d in (train, val):
-            assert d.features.dtype == np.uint8 and d.features.flags.c_contiguous
+            assert d.features.dtype == np.uint8 and d.features.shape == (d.n, 3072)
+            assert d.features.strides == (RECORD_BYTES, 1)
+            assert d.features.base.shape == (d.n, RECORD_BYTES)
         assert train.features.nbytes == 50_000 * 3072
 
     def test_home_directory_expanded(self, cifar_dir, tmp_path, monkeypatch):
@@ -207,26 +211,52 @@ class TestLoadCifar10:
         with pytest.raises(CifarFormatError, match="data_batch_1.bin"):
             load_cifar10(tmp_path)
 
-    def test_truncated_file_rejected(self, cifar_dir, tmp_path):
-        for name in (*TRAIN_FILES, TEST_FILE):
-            if name == TRAIN_FILES[2]:
-                blob = (cifar_dir / name).read_bytes()
-                (tmp_path / name).write_bytes(blob[:-1])
+    @staticmethod
+    def corpus_with(cifar_dir, tmp_path, name, edit):
+        """tmp_path with the six files linked from cifar_dir, except `name`, a copy that `edit(fh)` changed."""
+        for other in (*TRAIN_FILES, TEST_FILE):
+            if other == name:
+                shutil.copy(cifar_dir / other, tmp_path / other)
+                with open(tmp_path / other, "r+b") as fh:
+                    edit(fh)
             else:
-                (tmp_path / name).symlink_to(cifar_dir / name)
+                (tmp_path / other).symlink_to(cifar_dir / other)
+        return tmp_path
+
+    def test_truncated_file_rejected(self, cifar_dir, tmp_path):
+        corpus = self.corpus_with(cifar_dir, tmp_path, TRAIN_FILES[2], lambda fh: fh.truncate(FILE_BYTES - 1))
         with pytest.raises(CifarFormatError, match=f"expected {FILE_BYTES} bytes, found {FILE_BYTES - 1}"):
-            load_cifar10(tmp_path)
+            load_cifar10(corpus)
+
+    def test_over_long_file_rejected(self, cifar_dir, tmp_path):
+        corpus = self.corpus_with(cifar_dir, tmp_path, TRAIN_FILES[4], lambda fh: (fh.seek(0, 2), fh.write(b"\0")))
+        with pytest.raises(CifarFormatError, match=f"{TRAIN_FILES[4]}: expected {FILE_BYTES} bytes, "
+                                                   f"found {FILE_BYTES + 1}"):
+            load_cifar10(corpus)
+
+    def test_short_read_rejected(self, cifar_dir, tmp_path, monkeypatch):
+        # a file that shrinks after its size was taken: the read itself comes up short
+        corpus = self.corpus_with(cifar_dir, tmp_path, TEST_FILE, lambda fh: fh.truncate(FILE_BYTES - 5))
+        monkeypatch.setattr(data, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=FILE_BYTES)))
+        with pytest.raises(CifarFormatError, match=f"expected {FILE_BYTES} bytes, found {FILE_BYTES - 5}"):
+            load_cifar10(corpus)
+
+    def corrupt_label(self, cifar_dir, tmp_path, name):
+        """Load with record 7's label byte set to 11 in `name`; the error must give its offset in that file."""
+        corrupt_record = 7
+
+        def corrupt(fh):
+            fh.seek(corrupt_record * RECORD_BYTES)
+            fh.write(b"\x0b")
+
+        corpus = self.corpus_with(cifar_dir, tmp_path, name, corrupt)
+        with pytest.raises(CifarFormatError,
+                           match=f"{name}: label byte 11 > 9 at offset {corrupt_record * RECORD_BYTES}$"):
+            load_cifar10(corpus)
 
     def test_bad_label_byte_reported_with_offset(self, cifar_dir, tmp_path):
-        for name in (*TRAIN_FILES, TEST_FILE):
-            if name == TEST_FILE:
-                shutil.copy(cifar_dir / name, tmp_path / name)
-            else:
-                (tmp_path / name).symlink_to(cifar_dir / name)
-        corrupt_record = 7
-        with open(tmp_path / TEST_FILE, "r+b") as fh:
-            fh.seek(corrupt_record * RECORD_BYTES)
-            fh.write(b"\x0b")  # label byte 11
-        with pytest.raises(CifarFormatError,
-                           match=f"label byte 11 > 9 at offset {corrupt_record * RECORD_BYTES}"):
-            load_cifar10(tmp_path)
+        self.corrupt_label(cifar_dir, tmp_path, TEST_FILE)
+
+    def test_bad_label_offset_counts_from_its_own_file(self, cifar_dir, tmp_path):
+        # data_batch_3.bin fills rows 20,000-29,999 of the train record buffer
+        self.corrupt_label(cifar_dir, tmp_path, TRAIN_FILES[2])

@@ -425,6 +425,22 @@ class TestRun:
             run(blob_config(tmp_path, blobs=None), data=tuple(data))
         assert steps == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_non_finite_features_fail_before_training(self, tmp_path, monkeypatch, split, bad):
+        steps = []
+        sgd_step = nn.sgd_step
+        monkeypatch.setattr(nn, "sgd_step", lambda *args: steps.append(1) or sgd_step(*args))
+        finite = np.random.default_rng(0).random((20, 4))
+        holed = finite.copy()
+        holed[7, 2] = bad
+        labels = np.arange(20) % 3
+        data = [Dataset(finite, labels, name="finite", class_count=3)] * 2
+        data[0 if split == "train" else 1] = Dataset(holed, labels, name="holed", class_count=3)
+        with pytest.raises(ValueError, match="dataset 'holed' has NaN or infinite features"):
+            run(blob_config(tmp_path, architecture=[4], epochs=1, blobs=None), data=tuple(data))
+        assert steps == []
+
     def test_injected_datasets_bypass_loading(self, tmp_path):
         train = make_blobs(30, 3, 8, 8.0, seed=1)
         val = make_blobs(10, 3, 8, 8.0, seed=2)
