@@ -110,38 +110,60 @@ def resolve_architecture(arch) -> tuple[int, ...]:
     return widths
 
 
+# Rows of float64 that evaluate converts stored bytes into: 6 MiB at 3,072
+# features. Float64 features are read in place, where wider chunks run faster.
+_BYTE_CHUNK = 256
+
+
 def evaluate(network, dataset: Dataset, chunk: int = 1024) -> tuple[float, float]:
     """Full-dataset loss and accuracy with every regularizer disabled.
 
-    The rows are read in chunks of `chunk`. Stored bytes are scaled into
-    one float64 chunk buffer that every chunk reuses; float64 features
-    are read in place, with no buffer. The loss is one reduction over the
-    per-row losses of all rows, so it does not depend on `chunk`. The
-    loss reads each row's probability of its labelled class.
+    Float64 features are read in place, `chunk` rows at a time. Stored
+    bytes are scaled into one reused float64 buffer of at most
+    _BYTE_CHUNK rows. The loss is one reduction over the per-row losses
+    of all rows, so it does not depend on the chunk size. The loss reads
+    each row's probability of its labelled class.
     """
     true_probs = np.empty(dataset.n)
     hits = 0
     buffer = None
     if dataset.features.dtype == np.uint8:
+        chunk = min(chunk, _BYTE_CHUNK)
         buffer = np.empty((min(chunk, dataset.n), dataset.features.shape[1]))
     for start in range(0, dataset.n, chunk):
         y = dataset.labels[start:start + chunk]
         out = None if buffer is None else buffer[:y.shape[0]]
         x = dataset.rows(slice(start, start + chunk), out=out)
-        probs, _ = nn.forward(network, x)
+        probs = nn.forward(network, x)[0]  # the trace goes now, not when the next chunk's is made
         true_probs[start:start + y.shape[0]] = probs[np.arange(y.shape[0]), y]
         hits += int((probs.argmax(axis=1) == y).sum())
     return nn.cross_entropy(true_probs), hits / dataset.n
 
 
-def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
-    if config.data_dir is not None:
-        return load_cifar10(config.data_dir)
-    if config.blobs is not None:
+def _load_data(config: RunConfig, data: tuple[Dataset, Dataset] | None) -> tuple[Dataset, Dataset]:
+    """The injected or configured (train, validation) pair, checked to agree
+    in feature width and class count and to hold finite features."""
+    if data is not None:
+        train_ds, val_ds = data
+    elif config.data_dir is not None:
+        train_ds, val_ds = load_cifar10(config.data_dir)
+    elif config.blobs is not None:
         b = config.blobs  # train, then a validation set a fifth the size
-        return tuple(make_blobs(n, b.classes, b.dim, b.separation, seed=derive_seed(config.seed, "blobs", i))
-                     for i, n in enumerate((b.per_class, max(1, b.per_class // 5))))
-    raise ConfigError("no data source configured: set data_dir or blobs, or inject datasets")
+        train_ds, val_ds = (make_blobs(n, b.classes, b.dim, b.separation, seed=derive_seed(config.seed, "blobs", i))
+                            for i, n in enumerate((b.per_class, max(1, b.per_class // 5))))
+    else:
+        raise ConfigError("no data source configured: set data_dir or blobs, or inject datasets")
+    width, classes = train_ds.features.shape[1], train_ds.class_count
+    if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):
+        raise ValueError(f"validation set has {val_ds.features.shape[1]} features and {val_ds.class_count} "
+                         f"classes; the training set has {width} and {classes}")
+    # scanned here, not when a Dataset is built, to keep set-up cheap; bytes are finite, and
+    # min and max carry a NaN and catch either infinity without an n x dim temporary
+    for ds in (train_ds, val_ds):
+        f = ds.features
+        if f.dtype != np.uint8 and not (np.isfinite(f.min()) and np.isfinite(f.max())):
+            raise ValueError(f"dataset {ds.name!r} has NaN or infinite features")
+    return train_ds, val_ds
 
 
 def _batch_scales(widths, reg: RegularizerConfig, batch_n: int, epoch: int, batch_i: int):
@@ -169,24 +191,20 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     nn.sgd_step updates in place. `data` optionally injects preloaded
     (train, validation) datasets in place of config.data_dir/config.blobs;
     they must agree in feature width and class count. Both checks, and
-    that float features are finite, run before the first epoch.
+    that float features are finite, run before manifest.txt is written,
+    so a refused run leaves no files; zero epochs write the manifest alone
+    and load nothing.
     """
     reg = config.regularizer
-
+    if config.epochs:  # before any file is written
+        train_ds, val_ds = _load_data(config, data)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(config, out / "manifest.txt")
     if config.epochs == 0:
         return []
 
-    train_ds, val_ds = data if data is not None else _load_data(config)
     width, classes = train_ds.features.shape[1], train_ds.class_count
-    if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):
-        raise ValueError(f"validation set has {val_ds.features.shape[1]} features and {val_ds.class_count} "
-                         f"classes; the training set has {width} and {classes}")
-    for ds in (train_ds, val_ds):  # scanned here, not when a Dataset is built, to keep set-up cheap; bytes are finite
-        if ds.features.dtype != np.uint8 and not np.isfinite(ds.features).all():
-            raise ValueError(f"dataset {ds.name!r} has NaN or infinite features")
     network = nn.init_network(config.widths, width, classes, seed=derive_seed(config.seed, "init"))
 
     board = monitor = None
@@ -211,6 +229,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
         for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, batch_seed, epoch)):
             _, trace = nn.forward(trained, x, scales=_batch_scales(config.widths, reg, x.shape[0], epoch, batch_i))
             nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
+            del x, y, trace  # one batch alive at a time: free this one before the next is gathered
 
         if board is not None:
             for (w, b), (w_kept, b_kept), cols, rows in zip(network, trained, kept, kept[1:]):

@@ -7,7 +7,9 @@ dropouts map each hidden layer's pre-activations through an elementwise
 dropped units out of the network for the epoch (a gain of 0). The output
 layer applies softmax and is never regularized. Labels are integer
 class indices. Gradients are hand-written reverse mode; sgd_step updates
-the caller's arrays in place.
+the caller's arrays in place. Forward and backward write in place into
+the arrays they allocate and never into the batch or a (gain, offset)
+pair; sgd_step consumes the gradients it is given.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ def init_network(widths, input_dim: int, class_count: int, seed: int) -> list[tu
 def dense_forward(layer, a_prev: np.ndarray) -> np.ndarray:
     """z = a_prev @ W.T + b for a (W, b) pair and a batch of row vectors."""
     weights, bias = layer
-    return a_prev @ weights.T + bias
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+    z = a_prev @ weights.T
+    z += bias
+    return z
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -73,8 +73,10 @@ def forward(network, batch: np.ndarray, scales=None):
         gain = None
         if scales is not None:
             gain, offset = scales[l]
-            z = z * gain if offset is None else z * gain + offset
-        activations.append(relu(z))
+            z *= gain
+            if offset is not None:
+                z += offset
+        activations.append(np.maximum(z, 0.0, out=z))  # ReLU
         gains.append(gain)
     activations.append(softmax(dense_forward(network[-1], activations[-1])))
     return activations[-1], (activations, gains)
@@ -98,14 +100,21 @@ def backward(network, trace, labels: np.ndarray):
         grads[l] = (dz.T @ activations[l], dz.sum(axis=0))
         if l > 0:
             # relu(z) > 0 exactly where z > 0, so the output stands in for z
-            dz = (dz @ network[l][0]) * (activations[l] > 0)
+            dz = dz @ network[l][0]
+            dz *= activations[l] > 0
             if gains[l - 1] is not None:
-                dz = dz * gains[l - 1]
+                dz *= gains[l - 1]
     return grads
 
 
 def sgd_step(network, gradients, learning_rate: float) -> None:
-    """One plain SGD update, written into the network's arrays."""
+    """One plain SGD update, written into the network's arrays.
+
+    Consumes its gradients: each (dW, db) is scaled by learning_rate in
+    place and then subtracted, bitwise equal to W -= learning_rate * dW.
+    """
     for (weights, bias), (dw, db) in zip(network, gradients):
-        weights -= learning_rate * dw
-        bias -= learning_rate * db
+        dw *= learning_rate
+        weights -= dw
+        db *= learning_rate
+        bias -= db

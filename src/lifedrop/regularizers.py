@@ -96,14 +96,15 @@ def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     Units are kept with probability p = 1-rate or pinned to ALPHA_PRIME,
     then affine-corrected with a = (p + ALPHA_PRIME^2 * p * (1-p))^-0.5 and
     b = -a * (1-p) * ALPHA_PRIME, which preserves zero mean and unit
-    variance of standard-normal input.
+    variance of standard-normal input. A kept unit's offset is
+    b + (±0.0), which is exactly b.
     """
     p = 1.0 - rate
     a = (p + ALPHA_PRIME**2 * p * (1.0 - p)) ** -0.5
     b = -a * (1.0 - p) * ALPHA_PRIME
     rng = np.random.default_rng(seed)
     keep = rng.random(shape) < p
-    return a * keep, np.where(keep, b, a * ALPHA_PRIME + b)
+    return a * keep, b + (a * ALPHA_PRIME) * ~keep
 
 
 def on_epoch_end_dynamic(board: np.ndarray, generation: int, monitor: OverfitMonitor, val_loss: float,

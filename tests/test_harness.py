@@ -1,6 +1,7 @@
 """Experiment-driver tests: run loop, metrics files, manifests, CLI."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +100,21 @@ class TestEvaluate:
         for chunk in (7, 4096):
             assert evaluate(net, stored, chunk=chunk) == evaluate(net, widened, chunk=chunk)
         assert evaluate(net, stored, chunk=7) == evaluate(net, stored, chunk=4096)
+
+    def test_stored_bytes_are_scaled_through_256_rows(self):
+        # 2,000 rows of 3,072 bytes would take 47 MiB as float64; evaluation
+        # holds one 256-row float64 buffer (6 MiB) and a chunk's small activations
+        n, dim = 2000, 3072
+        data = Dataset(np.random.default_rng(5).integers(0, 256, size=(n, dim), dtype=np.uint8),
+                       np.arange(n) % 10, name="bytes", class_count=10)
+        net = nn.init_network([16], dim, 10, seed=6)
+        tracemalloc.start()
+        try:
+            evaluate(net, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * dim * 8 + (1 << 20)
 
     def test_dimension_mismatch_rejected(self):
         net = nn.init_network([8], 9, 3, seed=1)
@@ -440,6 +456,7 @@ class TestRun:
         with pytest.raises(ValueError, match="dataset 'holed' has NaN or infinite features"):
             run(blob_config(tmp_path, architecture=[4], epochs=1, blobs=None), data=tuple(data))
         assert steps == []
+        assert not (tmp_path / "run" / "manifest.txt").exists()
 
     def test_injected_datasets_bypass_loading(self, tmp_path):
         train = make_blobs(30, 3, 8, 8.0, seed=1)

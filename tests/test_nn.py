@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from lifedrop import nn
+from lifedrop.data import Dataset
 from lifedrop.harness import ConfigError, RunConfig
-from lifedrop.regularizers import RegularizerConfig
+from lifedrop.regularizers import RegularizerConfig, alpha_affine, classical_gain, gaussian_gain
 
 
 def toy_network(weight_lists, bias_lists):
@@ -109,13 +110,6 @@ class TestDenseForward:
         layer = (np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             nn.dense_forward(layer, np.array([[1.0, 2.0, 3.0]]))
-
-
-def test_relu_sign_cases():
-    assert np.array_equal(nn.relu([[-1.0, 0.0, 2.0]]), [[0.0, 0.0, 2.0]])
-    assert np.array_equal(nn.relu(np.full((2, 2), -3.0)), np.zeros((2, 2)))
-    pos = np.array([[0.5, 1.0], [2.0, 0.0]])
-    assert np.array_equal(nn.relu(pos), pos)
 
 
 class TestSoftmax:
@@ -272,6 +266,76 @@ class TestForward:
             nn.forward(net, np.zeros((2, 7)))
 
 
+def out_of_place_pass(network, x, scales, labels):
+    """(activations, grads) by the textbook formulas, each step a new array."""
+    activations = [x]
+    for l, (w, b) in enumerate(network[:-1]):
+        z = activations[-1] @ w.T + b
+        if scales is not None:
+            gain, offset = scales[l]
+            z = z * gain if offset is None else z * gain + offset
+        activations.append(np.maximum(z, 0.0))
+    activations.append(nn.softmax(activations[-1] @ network[-1][0].T + network[-1][1]))
+    dz = (activations[-1] - np.eye(network[-1][0].shape[0])[labels]) / labels.shape[0]
+    grads = [None] * len(network)
+    for l in range(len(network) - 1, -1, -1):
+        grads[l] = (dz.T @ activations[l], dz.sum(axis=0))
+        if l > 0:
+            dz = (dz @ network[l][0]) * (activations[l] > 0)
+            if scales is not None:
+                dz = dz * scales[l - 1][0]
+    return activations, grads
+
+
+NOISE_DRAWS = {"none": None, "classical": classical_gain, "gaussian": gaussian_gain, "alpha": alpha_affine}
+
+
+def noise_scales(kind, widths, n, seed):
+    draw = NOISE_DRAWS[kind]
+    return None if draw is None else [draw((n, w), 0.4, seed + l) for l, w in enumerate(widths)]
+
+
+class TestInPlace:
+    # forward, backward and sgd_step work in place; their results must be the
+    # out-of-place formulas' bit for bit, and the caller's inputs untouched
+
+    @pytest.mark.parametrize("kind", sorted(NOISE_DRAWS))
+    def test_pass_equals_out_of_place_formulas_bitwise(self, kind):
+        widths = (24, 16, 16)
+        net = random_network(widths, 12, 5, seed=31)
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(40, 12))
+        y = rng.integers(0, 5, size=40)
+        scales = noise_scales(kind, widths, 40, seed=33)
+        want_activations, want_grads = out_of_place_pass(net, x, scales, y)
+        probs, trace = nn.forward(net, x, scales=scales)
+        grads = nn.backward(net, trace, y)
+        assert probs is trace[0][-1]
+        assert [a.tobytes() for a in trace[0]] == [a.tobytes() for a in want_activations]
+        assert [(dw.tobytes(), db.tobytes()) for dw, db in grads] == \
+            [(dw.tobytes(), db.tobytes()) for dw, db in want_grads]
+
+    @pytest.mark.parametrize("kind", sorted(NOISE_DRAWS))
+    def test_no_input_is_written(self, kind):
+        widths = (16, 16)
+        rng = np.random.default_rng(34)
+        features = rng.normal(size=(30, 8))
+        dataset = Dataset(features, np.arange(30) % 3, name="floats", class_count=3)
+        kept = features.copy()
+        x = dataset.rows(slice(5, 25))
+        assert np.shares_memory(x, dataset.features)
+        net = random_network(widths, 8, 3, seed=35)
+        scales = noise_scales(kind, widths, 20, seed=36)
+        held_scales = [(g.copy(), None if o is None else o.copy()) for g, o in scales or ()]
+        _, trace = nn.forward(net, x, scales=scales)
+        held_trace = [a.copy() for a in trace[0]]
+        nn.backward(net, trace, dataset.labels[5:25])
+        assert trace[0][0] is x and features.tobytes() == kept.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(trace[0], held_trace))
+        for (g, o), (g0, o0) in zip(scales or (), held_scales):
+            assert np.array_equal(g, g0) and (o is None or np.array_equal(o, o0))
+
+
 class TestBackward:
     def test_output_layer_shortcut(self):
         # d(loss)/d(logits) = (probs - one-hot labels) / batch surfaces
@@ -366,9 +430,8 @@ class TestSgdStep:
     def test_two_equal_steps_double_the_shift(self):
         net = random_network([3], 2, 2, seed=2)
         before = copy_network(net)
-        grads = [(np.full_like(w, 0.1), np.full_like(b, 0.1)) for w, b in net]
-        nn.sgd_step(net, grads, 0.2)
-        nn.sgd_step(net, grads, 0.2)
+        for _ in range(2):  # sgd_step consumes its gradients, so each step gets fresh ones
+            nn.sgd_step(net, [(np.full_like(w, 0.1), np.full_like(b, 0.1)) for w, b in net], 0.2)
         for (w, _), (w0, _) in zip(net, before):
             assert np.allclose(w, w0 - 2 * 0.2 * 0.1, atol=1e-15)
 

@@ -257,6 +257,18 @@ class TestAlpha:
         assert np.allclose(offset[~dropped], b, atol=1e-15)
         assert np.allclose(gain[~dropped], a, atol=1e-15)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_offset_equals_the_select_form_bitwise(self, rate):
+        # b + (a * alpha') * ~keep adds a signed zero to b where a unit is kept
+        p = 1.0 - rate
+        a = (p + ALPHA_PRIME**2 * p * (1 - p)) ** -0.5
+        b = -a * (1 - p) * ALPHA_PRIME
+        for seed, shape in ((16, (64, 33)), (17, (5,)), (18, (128, 64))):
+            keep = np.random.default_rng(seed).random(shape) < p
+            gain, offset = alpha_affine(shape, rate, seed=seed)
+            assert gain.tobytes() == (a * keep).tobytes()
+            assert offset.tobytes() == np.where(keep, b, a * ALPHA_PRIME + b).tobytes()
+
 
 class TestEpochEnd:
     def config(self, **kw):
