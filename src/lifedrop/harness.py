@@ -11,6 +11,7 @@ metrics files and snapshots.
 from __future__ import annotations
 
 import ast
+import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path, PurePath
@@ -176,6 +177,12 @@ def _batch_scales(widths, reg: RegularizerConfig, batch_n: int, epoch: int, batc
             for l, width in enumerate(widths)]
 
 
+def _reorder_units(network, orders) -> None:
+    """Put hidden layer l's units in orders[l], in place: rows of its (W, b), columns of the next W."""
+    for (w, b), (w_next, _), order in zip(network, network[1:], orders):
+        w[:], b[:], w_next[:] = w[order], b[order], w_next[:, order]
+
+
 def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[EpochMetrics]:
     """Train per the config and return one metrics record per epoch.
 
@@ -185,10 +192,12 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     board step). Baselines draw fresh (gain, offset) noise per batch.
     The dynamic board, a (hidden layers, width) uint8 array, is
     generation e - 1 in epoch e and fixed for the epoch, so the epoch
-    trains a compact copy of (W, b) without the units it drops (they
-    would get zero gradient) and scatters it back before evaluation. The
-    network is the list of (W, b) arrays that run creates and
-    nn.sgd_step updates in place. `data` optionally injects preloaded
+    moves each layer's kept units to the front of (W, b), trains the
+    leading blocks as views (a dropped unit would get zero gradient) and
+    moves the units back before evaluation. run creates the network, a
+    list of (W, b) arrays that nn.sgd_step updates in place, and rewrites
+    metrics.csv after every epoch, so a run that raises keeps the epochs
+    it finished. `data` optionally injects preloaded
     (train, validation) datasets in place of config.data_dir/config.blobs;
     they must agree in feature width and class count. Both checks, and
     that float features are finite, run before manifest.txt is written,
@@ -222,20 +231,20 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
             live_frac = float(board.mean())
             if epoch in config.snapshot_epochs:
                 write_pbm(board, out / f"lattice_epoch_{epoch}.pbm")
-            # train the kept units only: kept[l] indexes layer l's inputs, kept[l + 1] its outputs
-            kept = [np.arange(width), *(np.flatnonzero(row == 0) for row in board), np.arange(classes)]
-            trained = [(w[np.ix_(rows, cols)], b[rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
+            # kept units (board 0) to the front, in their order; kept[l] counts layer l's inputs
+            orders = [np.argsort(row, kind="stable") for row in board]
+            _reorder_units(network, orders)
+            kept = [width, *(row.size - int(row.sum()) for row in board), classes]
+            trained = [(w[:rows, :cols], b[:rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
 
         for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, batch_seed, epoch)):
             _, trace = nn.forward(trained, x, scales=_batch_scales(config.widths, reg, x.shape[0], epoch, batch_i))
             nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
             del x, y, trace  # one batch alive at a time: free this one before the next is gathered
 
+        del trained  # the views go, and the units go back to the order evaluation and the board use
         if board is not None:
-            for (w, b), (w_kept, b_kept), cols, rows in zip(network, trained, kept, kept[1:]):
-                w[np.ix_(rows, cols)] = w_kept
-                b[rows] = b_kept
-        del trained  # the compact copy goes before evaluation allocates its chunks
+            _reorder_units(network, [np.argsort(order) for order in orders])
         train_loss, train_acc = evaluate(network, train_ds)
         val_loss, val_acc = evaluate(network, val_ds)
         reactivated = 0
@@ -245,18 +254,19 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
                                     train_acc=train_acc, val_acc=val_acc,
                                     gap=train_acc - val_acc, live_mask_fraction=live_frac,
                                     reactivated_cells=reactivated))
-    write_metrics(history, out / "metrics.csv")
+        write_metrics(history, out / "metrics.csv")
     return history
 
 
 def write_metrics(history, path) -> None:
-    """CSV with one row per epoch: ints as they are, floats at fixed 6-decimal precision."""
+    """CSV, one row per epoch (ints as they are, floats to 6 decimals), via `<path>.tmp` and a rename."""
     lines = [METRICS_HEADER]
     for m in history:
         lines.append(",".join(str(getattr(m, name)) if kind is int else f"{getattr(m, name):.6f}"
                               for name, kind in _METRIC_TYPES.items()))
-    with open(path, "w", newline="\n") as fh:
+    with open(f"{path}.tmp", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(f"{path}.tmp", path)
 
 
 def read_metrics(path) -> list[EpochMetrics]:

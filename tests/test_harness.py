@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lifedrop import nn
+from lifedrop import harness, nn
 from lifedrop.cli import main
 from lifedrop.data import Dataset, make_blobs
 from lifedrop.harness import (ARCH_PRESETS, BlobSpec, ConfigError, EpochMetrics, RunConfig,
@@ -115,6 +115,35 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 256 * dim * 8 + (1 << 20)
+
+    def test_dynamic_epoch_trains_the_network_in_place(self, tmp_path, monkeypatch):
+        # An all-dead board keeps every unit, so a copy of the kept units would be
+        # a second network. The peak above the datasets, read when evaluation
+        # starts, holds one network, one batch, dW0 and one batch's activations.
+        n, dim, widths, classes, batch = 128, 4096, (128, 128), 10, 64
+        rng = np.random.default_rng(7)
+        train = Dataset(rng.random((n, dim)), np.arange(n) % classes, name="train", class_count=classes)
+        val = Dataset(rng.random((16, dim)), np.arange(16) % classes, name="val", class_count=classes)
+        peaks = []
+
+        def spy(network, dataset, chunk=1024):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return evaluate(network, dataset, chunk)
+
+        monkeypatch.setattr(harness, "init_random", lambda rows, cols, *args, **kw: np.zeros((rows, cols), np.uint8))
+        monkeypatch.setattr(harness, "evaluate", spy)
+        cfg = RunConfig(architecture=widths, regularizer=RegularizerConfig(kind="dynamic", seed=1),
+                        output_dir=tmp_path, epochs=1, batch_size=batch, learning_rate=0.01, seed=1,
+                        snapshot_epochs=())
+        tracemalloc.start()
+        try:
+            run(cfg, data=(train, val))
+        finally:
+            tracemalloc.stop()
+        dims = (dim, *widths, classes)
+        network = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])) * 8
+        activations = batch * sum(dims[1:]) * 8
+        assert peaks[0] < network + batch * dim * 8 + widths[0] * dim * 8 + activations + (1 << 20)
 
     def test_dimension_mismatch_rejected(self):
         net = nn.init_network([8], 9, 3, seed=1)
@@ -271,6 +300,32 @@ class TestRun:
             assert slim.epoch == full.epoch
             assert abs(slim.train_loss - full.train_loss) < 5e-7
             assert abs(slim.gap - full.gap) < 5e-7
+
+    def test_metrics_file_keeps_the_epochs_before_a_failure(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(network, dataset, chunk=1024):
+            calls.append(dataset.name)
+            if len(calls) > 4:  # epochs 1 and 2 evaluate twice each; epoch 3 fails
+                raise FloatingPointError("diverged")
+            return evaluate(network, dataset, chunk)
+
+        two_epochs = blob_config(tmp_path, epochs=2, output_dir=tmp_path / "two")
+        run(two_epochs)
+        monkeypatch.setattr(harness, "evaluate", spy)
+        with pytest.raises(FloatingPointError, match="diverged"):
+            run(blob_config(tmp_path, epochs=5))
+        out = tmp_path / "run"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "metrics.csv"]
+        assert [m.epoch for m in read_metrics(out / "metrics.csv")] == [1, 2]
+        assert (out / "metrics.csv").read_bytes() == (tmp_path / "two" / "metrics.csv").read_bytes()
+
+        # a run refused before epoch 1 writes no metrics.csv
+        val = make_blobs(10, 3, 9, 8.0, seed=2)
+        refused = blob_config(tmp_path, blobs=None, output_dir=tmp_path / "refused")
+        with pytest.raises(ValueError, match="validation set has"):
+            run(refused, data=(make_blobs(30, 3, 8, 8.0, seed=1), val))
+        assert not (tmp_path / "refused" / "metrics.csv").exists()
 
     def test_gap_column_is_exact_difference(self, tmp_path):
         history = run(blob_config(tmp_path, epochs=4))

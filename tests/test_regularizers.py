@@ -181,12 +181,22 @@ class TestDynamicMask:
         harness.run(config, data=(train, val))
 
         network = nn.init_network(config.widths, 8, 3, seed=derive_seed(config.seed, "init"))
+        initial = [(w.copy(), b.copy()) for w, b in network]
         for x, y in batches(train, 16, derive_seed(config.seed, "batches"), 1):
             _, trace = nn.forward(network, x, scales=self.scales(cells))
             nn.sgd_step(network, nn.backward(network, trace, y), config.learning_rate)
         for (w, b), (w_run, b_run) in zip(network, evaluated[0]):
             bound = 1e-12 * np.abs(w).max()
             assert np.abs(w_run - w).max() <= bound and np.abs(b_run - b).max() <= bound
+        # run moves the kept units to the front and back again: every unit the board
+        # drops is back in its place with its row of W, its bias and its column of the
+        # next layer's W untouched, byte for byte
+        for l, dropped in enumerate(cells == 1):
+            (w0, b0), (w0_next, _) = initial[l], initial[l + 1]
+            (w_run, b_run), (w_run_next, _) = evaluated[0][l], evaluated[0][l + 1]
+            assert w_run[dropped].tobytes() == w0[dropped].tobytes()
+            assert b_run[dropped].tobytes() == b0[dropped].tobytes()
+            assert w_run_next[:, dropped].tobytes() == w0_next[:, dropped].tobytes()
 
 
 class TestClassical:
