@@ -8,11 +8,11 @@ provided as fixed baselines.
 
 from lifedrop.data import BlobSpec, Dataset, load_cifar10, make_blobs
 from lifedrop.harness import ARCH_PRESETS, ConfigError, EpochMetrics, RunConfig, compare, evaluate, run
-from lifedrop.regularizers import OverfitMonitor, RegularizerConfig
+from lifedrop.regularizers import RegularizerConfig
 
 __all__ = [
-    "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "OverfitMonitor",
-    "RegularizerConfig", "RunConfig", "compare", "evaluate", "load_cifar10", "make_blobs", "run",
+    "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "RegularizerConfig",
+    "RunConfig", "compare", "evaluate", "load_cifar10", "make_blobs", "run",
 ]
 
 __version__ = "0.1.0"

@@ -64,6 +64,8 @@ class RunConfig:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if any(e < 1 for e in self.snapshot_epochs):
+            raise ConfigError(f"snapshot_epochs must be at least 1, got {self.snapshot_epochs}")
         if not 0 < self.learning_rate < np.inf:  # also false for NaN
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.data_dir is not None and self.blobs is not None:
@@ -111,25 +113,26 @@ def resolve_architecture(arch) -> tuple[int, ...]:
     return widths
 
 
-# Rows of float64 that evaluate converts stored bytes into: 6 MiB at 3,072
-# features. Float64 features are read in place, where wider chunks run faster.
+# Rows evaluate reads at a time: float64 features in place, where wider chunks run
+# faster, and stored bytes through a float64 buffer, 6 MiB at 3,072 features.
+_FLOAT_CHUNK = 1024
 _BYTE_CHUNK = 256
 
 
-def evaluate(network, dataset: Dataset, chunk: int = 1024) -> tuple[float, float]:
+def evaluate(network, dataset: Dataset) -> tuple[float, float]:
     """Full-dataset loss and accuracy with every regularizer disabled.
 
-    Float64 features are read in place, `chunk` rows at a time. Stored
-    bytes are scaled into one reused float64 buffer of at most
+    Float64 features are read in place, _FLOAT_CHUNK rows at a time.
+    Stored bytes are scaled into one reused float64 buffer of at most
     _BYTE_CHUNK rows. The loss is one reduction over the per-row losses
     of all rows, so it does not depend on the chunk size. The loss reads
     each row's probability of its labelled class.
     """
     true_probs = np.empty(dataset.n)
     hits = 0
-    buffer = None
+    chunk, buffer = _FLOAT_CHUNK, None
     if dataset.features.dtype == np.uint8:
-        chunk = min(chunk, _BYTE_CHUNK)
+        chunk = _BYTE_CHUNK
         buffer = np.empty((min(chunk, dataset.n), dataset.features.shape[1]))
     for start in range(0, dataset.n, chunk):
         y = dataset.labels[start:start + chunk]
@@ -194,15 +197,15 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     generation e - 1 in epoch e and fixed for the epoch, so the epoch
     moves each layer's kept units to the front of (W, b), trains the
     leading blocks as views (a dropped unit would get zero gradient) and
-    moves the units back before evaluation. run creates the network, a
-    list of (W, b) arrays that nn.sgd_step updates in place, and rewrites
-    metrics.csv after every epoch, so a run that raises keeps the epochs
-    it finished. `data` optionally injects preloaded
-    (train, validation) datasets in place of config.data_dir/config.blobs;
-    they must agree in feature width and class count. Both checks, and
-    that float features are finite, run before manifest.txt is written,
-    so a refused run leaves no files; zero epochs write the manifest alone
-    and load nothing.
+    moves the units back before evaluation. metrics.csv is rewritten
+    after every epoch, so a run that raises keeps the epochs it finished.
+    An epoch whose train or validation loss is not finite skips the hook,
+    is written, and raises ValueError naming it: run's one divergence
+    check. `data` injects (train, validation) datasets in place of
+    config.data_dir or config.blobs; that the two agree in feature width
+    and class count, and that float features are finite, is checked
+    before manifest.txt is written, so a refused run leaves no files.
+    Zero epochs write the manifest alone and load nothing.
     """
     reg = config.regularizer
     if config.epochs:  # before any file is written
@@ -247,14 +250,17 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
             _reorder_units(network, [np.argsort(order) for order in orders])
         train_loss, train_acc = evaluate(network, train_ds)
         val_loss, val_acc = evaluate(network, val_ds)
+        finite = np.isfinite([train_loss, val_loss]).all()
         reactivated = 0
-        if board is not None:
+        if board is not None and finite:
             board, monitor, _, reactivated = on_epoch_end_dynamic(board, epoch - 1, monitor, val_loss, reg)
         history.append(EpochMetrics(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
                                     train_acc=train_acc, val_acc=val_acc,
                                     gap=train_acc - val_acc, live_mask_fraction=live_frac,
                                     reactivated_cells=reactivated))
         write_metrics(history, out / "metrics.csv")
+        if not finite:
+            raise ValueError(f"training diverged in epoch {epoch}: train loss {train_loss}, validation loss {val_loss}")
     return history
 
 
@@ -264,8 +270,7 @@ def write_metrics(history, path) -> None:
     for m in history:
         lines.append(",".join(str(getattr(m, name)) if kind is int else f"{getattr(m, name):.6f}"
                               for name, kind in _METRIC_TYPES.items()))
-    with open(f"{path}.tmp", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(f"{path}.tmp").write_text("\n".join(lines) + "\n", newline="\n")
     os.replace(f"{path}.tmp", path)
 
 
@@ -316,8 +321,7 @@ def write_manifest(config: RunConfig, path) -> None:
     """
     lines = [f"{key} = {value!r}" for key, value in _manifest_entries(config)]
     lines.append(f"layers = {config.widths!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _manifest_kwargs(cls, entries: dict, prefix="") -> dict:
@@ -392,8 +396,6 @@ def compare(run_dirs, out_path):
                      last.train_acc, last.val_acc,
                      max(m.val_acc for m in history), last.gap))
     lines = [SUMMARY_HEADER]
-    for name, kind, tl, vl, ta, va, best_va, gap in rows:
-        lines.append(f"{name},{kind},{tl:.6f},{vl:.6f},{ta:.6f},{va:.6f},{best_va:.6f},{gap:.6f}")
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += (",".join([name, kind, *(f"{v:.6f}" for v in values)]) for name, kind, *values in rows)
+    Path(out_path).write_text("\n".join(lines) + "\n", newline="\n")
     return rows

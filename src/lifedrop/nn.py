@@ -36,9 +36,8 @@ def dense_forward(layer, a_prev: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction so large logits cannot overflow."""
-    if np.isnan(z).any():
-        raise ValueError("softmax input contains NaN")
+    """Row-wise softmax with max-subtraction so large logits cannot overflow. A NaN or
+    infinite logit gives NaN, which harness.run's divergence check finds in the loss."""
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 

@@ -67,9 +67,8 @@ def monitor_update(monitor: OverfitMonitor, val_loss: float) -> tuple[OverfitMon
 
     Improvement by more than min_delta resets the counter; otherwise it
     grows, and reaching patience triggers (and re-arms the counter).
+    The loss is finite: harness.run stops a diverged run before its hook.
     """
-    if math.isnan(val_loss):
-        raise ValueError("validation loss is NaN")
     if val_loss < monitor.best_val_loss - monitor.min_delta:
         return replace(monitor, best_val_loss=val_loss, epochs_since_improvement=0), False
     stalled = monitor.epochs_since_improvement + 1

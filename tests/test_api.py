@@ -11,7 +11,7 @@ import lifedrop
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC = {
-    "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "OverfitMonitor", "RegularizerConfig",
+    "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "RegularizerConfig",
     "RunConfig", "compare", "evaluate", "load_cifar10", "make_blobs", "run",
 }
 

@@ -87,19 +87,22 @@ class TestEvaluate:
         data = make_blobs(30, 3, 8, 4.0, seed=2)
         assert evaluate(net, data) == evaluate(net, data)
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         net = nn.init_network([8], 8, 3, seed=3)
         data = make_blobs(40, 3, 8, 4.0, seed=4)
-        assert evaluate(net, data, chunk=7) == evaluate(net, data, chunk=4096)
         # stored bytes: 120 rows leave a 1-row last chunk in the reused buffer
         stored = Dataset(np.round(data.features * 255).astype(np.uint8), data.labels,
                          name="bytes", class_count=3)
         widened = Dataset(stored.features.astype(np.float64) / 255.0, data.labels,
                           name="floats", class_count=3)
         assert stored.n % 7 == 1
+        results = {}
         for chunk in (7, 4096):
-            assert evaluate(net, stored, chunk=chunk) == evaluate(net, widened, chunk=chunk)
-        assert evaluate(net, stored, chunk=7) == evaluate(net, stored, chunk=4096)
+            monkeypatch.setattr(harness, "_FLOAT_CHUNK", chunk)
+            monkeypatch.setattr(harness, "_BYTE_CHUNK", chunk)
+            results[chunk] = [evaluate(net, ds) for ds in (data, stored, widened)]
+            assert results[chunk][1] == results[chunk][2]
+        assert results[7] == results[4096]
 
     def test_stored_bytes_are_scaled_through_256_rows(self):
         # 2,000 rows of 3,072 bytes would take 47 MiB as float64; evaluation
@@ -126,9 +129,9 @@ class TestEvaluate:
         val = Dataset(rng.random((16, dim)), np.arange(16) % classes, name="val", class_count=classes)
         peaks = []
 
-        def spy(network, dataset, chunk=1024):
+        def spy(network, dataset):
             peaks.append(tracemalloc.get_traced_memory()[1])
-            return evaluate(network, dataset, chunk)
+            return evaluate(network, dataset)
 
         monkeypatch.setattr(harness, "init_random", lambda rows, cols, *args, **kw: np.zeros((rows, cols), np.uint8))
         monkeypatch.setattr(harness, "evaluate", spy)
@@ -304,11 +307,11 @@ class TestRun:
     def test_metrics_file_keeps_the_epochs_before_a_failure(self, tmp_path, monkeypatch):
         calls = []
 
-        def spy(network, dataset, chunk=1024):
+        def spy(network, dataset):
             calls.append(dataset.name)
             if len(calls) > 4:  # epochs 1 and 2 evaluate twice each; epoch 3 fails
                 raise FloatingPointError("diverged")
-            return evaluate(network, dataset, chunk)
+            return evaluate(network, dataset)
 
         two_epochs = blob_config(tmp_path, epochs=2, output_dir=tmp_path / "two")
         run(two_epochs)
@@ -326,6 +329,27 @@ class TestRun:
         with pytest.raises(ValueError, match="validation set has"):
             run(refused, data=(make_blobs(30, 3, 8, 8.0, seed=1), val))
         assert not (tmp_path / "refused" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["none", "dynamic"])
+    def test_divergence_keeps_its_epoch_and_names_it(self, tmp_path, monkeypatch, kind):
+        # features of 1e306 are finite, so the run starts, but the first
+        # epoch's forward passes overflow and both losses come out NaN
+        blobs = make_blobs(60, 3, 8, 8.0, seed=1)
+        train = Dataset(blobs.features * 1e306, blobs.labels, name="huge", class_count=3)
+        hooks, hook = [], harness.on_epoch_end_dynamic
+        monkeypatch.setattr(harness, "on_epoch_end_dynamic", lambda *args: hooks.append(args) or hook(*args))
+        cfg = blob_config(tmp_path, reg_kind=kind, epochs=3, snapshot_epochs=(1, 2), blobs=None)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="epoch 1"):
+            run(cfg, data=(train, make_blobs(12, 3, 8, 8.0, seed=2)))
+        out = tmp_path / "run"
+        history = read_metrics(out / "metrics.csv")
+        assert [m.epoch for m in history] == [1]
+        assert not math.isfinite(history[0].train_loss) and not math.isfinite(history[0].val_loss)
+        assert history[0].reactivated_cells == 0
+        assert not (out / "metrics.csv.tmp").exists()
+        assert hooks == []
+        assert not (out / "lattice_epoch_2.pbm").exists()
+        assert (out / "lattice_epoch_1.pbm").exists() == (kind == "dynamic")
 
     def test_gap_column_is_exact_difference(self, tmp_path):
         history = run(blob_config(tmp_path, epochs=4))
@@ -428,6 +452,7 @@ class TestRun:
         ({"patience": 0}, "patience"), ({"min_delta": -1e-3}, "min_delta"),
         ({"learning_rate": math.nan}, "learning_rate"), ({"learning_rate": math.inf}, "learning_rate"),
         ({"min_delta": math.nan}, "min_delta"), ({"min_delta": math.inf}, "min_delta"),
+        ({"snapshot_epochs": (0,)}, "snapshot_epochs"), ({"snapshot_epochs": (2, -1)}, "snapshot_epochs"),
     ])
     def test_bad_config_rejected_when_built(self, tmp_path, kind, bad, message):
         with pytest.raises(ValueError, match=message):

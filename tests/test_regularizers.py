@@ -88,10 +88,6 @@ class TestMonitor:
         m, triggered = monitor_update(m, 0.95)  # improves, but not by > 0.1
         assert triggered
 
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            monitor_update(OverfitMonitor(), float("nan"))
-
     def test_monitor_value_not_mutated(self):
         m = OverfitMonitor(patience=2)
         monitor_update(m, 1.0)
@@ -136,10 +132,10 @@ class TestDynamicMask:
         # plain, unscaled forward pass, which differs from the masked one.
         evaluated = []
 
-        def spy(network, dataset, chunk=1024):
+        def spy(network, dataset):
             # run updates its arrays in place, so keep a copy of what was evaluated
             evaluated.append(([(w.copy(), b.copy()) for w, b in network], dataset))
-            return evaluate(network, dataset, chunk)
+            return evaluate(network, dataset)
 
         monkeypatch.setattr(harness, "evaluate", spy)
         blobs = BlobSpec(per_class=60, classes=3, dim=8, separation=8.0)
@@ -168,9 +164,9 @@ class TestDynamicMask:
         cells = np.array(cells, dtype=np.uint8)
         evaluated = []
 
-        def spy(network, dataset, chunk=1024):
+        def spy(network, dataset):
             evaluated.append([(w.copy(), b.copy()) for w, b in network])
-            return evaluate(network, dataset, chunk)
+            return evaluate(network, dataset)
 
         monkeypatch.setattr(harness, "init_random", lambda *args, **kwargs: cells)
         monkeypatch.setattr(harness, "evaluate", spy)
