@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from lifedrop.harness import BlobSpec, ConfigError, RunConfig, compare, run
 from lifedrop.regularizers import KINDS, RegularizerConfig
 
@@ -74,7 +76,8 @@ def _train(args) -> int:
                        seed=args.seed, snapshot_epochs=_parse_snapshot_epochs(args.snapshot_epochs),
                        patience=args.patience, min_delta=args.min_delta, data_dir=args.data_dir,
                        blobs=blobs)
-    history = run(config)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run says so once, as its error
+        history = run(config)
     if history:
         last = history[-1]
         print(f"epoch {last.epoch}: train_acc={last.train_acc:.4f} val_acc={last.val_acc:.4f} "

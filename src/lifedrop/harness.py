@@ -200,12 +200,12 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     moves the units back before evaluation. metrics.csv is rewritten
     after every epoch, so a run that raises keeps the epochs it finished.
     An epoch whose train or validation loss is not finite skips the hook,
-    is written, and raises ValueError naming it: run's one divergence
-    check. `data` injects (train, validation) datasets in place of
-    config.data_dir or config.blobs; that the two agree in feature width
-    and class count, and that float features are finite, is checked
-    before manifest.txt is written, so a refused run leaves no files.
-    Zero epochs write the manifest alone and load nothing.
+    is written with NaN accuracies and gap, and raises ValueError naming
+    it: run's one divergence check. `data` injects (train, validation)
+    datasets in place of config.data_dir or config.blobs; that the two
+    agree in feature width and class count, and that float features are
+    finite, is checked before manifest.txt is written, so a refused run
+    leaves no files. Zero epochs write the manifest alone and load nothing.
     """
     reg = config.regularizer
     if config.epochs:  # before any file is written
@@ -251,6 +251,8 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
         train_loss, train_acc = evaluate(network, train_ds)
         val_loss, val_acc = evaluate(network, val_ds)
         finite = np.isfinite([train_loss, val_loss]).all()
+        if not finite:  # argmax over NaN probabilities counts class 0, which is no accuracy
+            train_acc = val_acc = np.nan
         reactivated = 0
         if board is not None and finite:
             board, monitor, _, reactivated = on_epoch_end_dynamic(board, epoch - 1, monitor, val_loss, reg)

@@ -5,6 +5,8 @@ and one column per unit. A cell value of 1 means alive, and an alive
 cell drops the matching neuron. Cells outside the grid count as dead
 (no wrap-around). Every function returns a new array and leaves its
 input unchanged, so a board can be kept around as a per-epoch snapshot.
+Arguments are trusted: RunConfig checks the board's shape and density,
+and on_epoch_end_dynamic never asks for a negative revival count.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ def step(cells: np.ndarray) -> np.ndarray:
 
 def init_random(rows: int, cols: int, live_density: float, seed: int) -> np.ndarray:
     """Fresh board with each cell alive independently at `live_density`."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"lattice dimensions must be positive, got {rows}x{cols}")
-    if not 0.0 <= live_density <= 1.0:
-        raise ValueError(f"live_density must lie in [0, 1], got {live_density}")
     rng = np.random.default_rng(seed)
     return (rng.random((rows, cols)) < live_density).astype(np.uint8)
 
@@ -48,8 +46,6 @@ def reactivate(cells: np.ndarray, count: int, seed: int) -> np.ndarray:
     is not a generation. Selection is a seeded shuffle of the dead-cell
     indices, so it is deterministic.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
     out = cells.copy()
     dead = np.flatnonzero(cells == 0)
     if count and dead.size:

@@ -9,7 +9,9 @@ layer applies softmax and is never regularized. Labels are integer
 class indices. Gradients are hand-written reverse mode; sgd_step updates
 the caller's arrays in place. Forward and backward write in place into
 the arrays they allocate and never into the batch or a (gain, offset)
-pair; sgd_step consumes the gradients it is given.
+pair; sgd_step consumes the gradients it is given. Nothing here checks
+its inputs: a batch is float64 from Dataset.rows, of the width that
+harness._load_data checked, and widths and rate are RunConfig's.
 """
 
 from __future__ import annotations
@@ -61,12 +63,7 @@ def forward(network, batch: np.ndarray, scales=None):
     holds the batch, every hidden layer's ReLU output and the
     probabilities; gains holds each hidden layer's gain (None without scales).
     """
-    x = np.asarray(batch, dtype=np.float64)
-    input_dim = network[0][0].shape[1]
-    if x.ndim != 2 or x.shape[1] != input_dim:
-        raise ValueError(f"expected batch of shape (n, {input_dim}), got {x.shape}")
-
-    activations, gains = [x], []
+    activations, gains = [batch], []
     for l, layer in enumerate(network[:-1]):
         z = dense_forward(layer, activations[-1])
         gain = None

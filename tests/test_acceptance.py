@@ -10,18 +10,21 @@ so they use it even when CIFAR10_DIR points at the real dataset; the
 ingestion test honours CIFAR10_DIR either way.
 """
 
+import multiprocessing
+import os
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import comparison_worker
 import corpusgen
 from lifedrop.cli import main
 from lifedrop.data import (
     CifarFormatError,
-    Dataset,
     FILE_BYTES,
     TEST_FILE,
     TRAIN_FILES,
@@ -39,8 +42,6 @@ from lifedrop.regularizers import (
     monitor_update,
 )
 
-SUBSET_TRAIN = 5_000
-SUBSET_VAL = 2_000
 COMPARISON_EPOCHS = 30
 COMPARISON_SEEDS = (0, 1, 2)
 TAIL_EPOCHS = 5
@@ -282,45 +283,37 @@ def test_blob_sanity_training(capsys, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def comparison_subsets(cifar_dir, using_real_cifar, tmp_path_factory):
-    """5,000-image train subset and 2,000-image validation subset."""
-    root = cifar_dir
-    if using_real_cifar:
-        root = tmp_path_factory.mktemp("acceptance-corpus")
-        corpusgen.generate_corpus(root)
-    train_full, val_full = load_cifar10(root)
-    train = Dataset(train_full.features[:SUBSET_TRAIN], train_full.labels[:SUBSET_TRAIN],
-                    name="train-5k", class_count=train_full.class_count)
-    val = Dataset(val_full.features[:SUBSET_VAL], val_full.labels[:SUBSET_VAL],
-                  name="val-2k", class_count=val_full.class_count)
-    return train, val
+def comparison_corpus(cifar_dir, using_real_cifar, tmp_path_factory):
+    """Directory of the synthetic corpus the comparisons are calibrated on."""
+    if not using_real_cifar:
+        return cifar_dir
+    root = tmp_path_factory.mktemp("acceptance-corpus")
+    corpusgen.generate_corpus(root)
+    return root
 
 
 @pytest.fixture(scope="module")
-def training_comparison(comparison_subsets, tmp_path_factory):
+def training_comparison(comparison_corpus, tmp_path_factory):
     """Dynamic vs classical on both benchmark architectures, seeds 0-2.
 
     arch1 runs at its stable plain-SGD setting (batch 512, lr 0.05); the
     much deeper arch3 needs a gentler rate and smaller batches to move
-    at all under plain SGD (batch 128, lr 0.02).
+    at all under plain SGD (batch 128, lr 0.02). The runs train in
+    os.cpu_count() spawned worker processes, each pinned to one BLAS
+    thread (see comparison_worker), so the values do not depend on the
+    core count; the long arch1 runs are submitted first.
     """
     out = tmp_path_factory.mktemp("comparison-runs")
-    histories: dict[tuple[str, str, int], list] = {}
-    durations: list[float] = []
-    for arch, batch_size, lr in (("arch1", 512, 0.05), ("arch3", 128, 0.02)):
-        for kind in ("dynamic", "classical"):
-            for seed in COMPARISON_SEEDS:
-                reg = RegularizerConfig(kind=kind, rate=0.5, lattice_density=0.5,
-                                        reactivation_fraction=0.1, seed=seed)
-                config = RunConfig(architecture=arch, regularizer=reg,
-                                   output_dir=out / f"{arch}-{kind}-{seed}",
-                                   epochs=COMPARISON_EPOCHS, batch_size=batch_size,
-                                   learning_rate=lr, seed=seed, snapshot_epochs=())
-                started = time.perf_counter()
-                history = run(config, data=comparison_subsets)
-                durations.append(time.perf_counter() - started)
-                histories[(arch, kind, seed)] = history
-    return histories, durations
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(os.cpu_count(), mp_context=spawn) as pool:  # a killed worker raises, not hangs
+        futures = {(arch, kind, seed): pool.submit(comparison_worker.train, str(comparison_corpus),
+                                                   str(out / f"{arch}-{kind}-{seed}"), arch, batch_size, lr,
+                                                   kind, seed, COMPARISON_EPOCHS)
+                   for arch, batch_size, lr in (("arch1", 512, 0.05), ("arch3", 128, 0.02))
+                   for kind in ("dynamic", "classical")
+                   for seed in COMPARISON_SEEDS}
+        results = {key: future.result() for key, future in futures.items()}
+    return {key: history for key, (history, _) in results.items()}, [duration for _, duration in results.values()]
 
 
 def _arch1_pairs(histories):

@@ -12,7 +12,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC = {
     "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "RegularizerConfig",
-    "RunConfig", "compare", "evaluate", "load_cifar10", "make_blobs", "run",
+    "RunConfig", "compare", "load_cifar10", "make_blobs", "run",
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -345,6 +346,8 @@ class TestRun:
         history = read_metrics(out / "metrics.csv")
         assert [m.epoch for m in history] == [1]
         assert not math.isfinite(history[0].train_loss) and not math.isfinite(history[0].val_loss)
+        # argmax over NaN probabilities would count class 0; a diverged row holds no accuracy
+        assert all(math.isnan(v) for v in (history[0].train_acc, history[0].val_acc, history[0].gap))
         assert history[0].reactivated_cells == 0
         assert not (out / "metrics.csv.tmp").exists()
         assert hooks == []
@@ -647,6 +650,20 @@ class TestCli:
                      "--out", str(tmp_path / "r")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_divergence_is_one_error_line(self, tmp_path, capsys):
+        out, numpy_errors = tmp_path / "run", np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--synthetic", "--arch", "custom:8", "--reg", "dynamic", "--epochs", "3",
+                         "--lr", "1e300", "--blob-per-class", "20", "--blob-classes", "3", "--blob-dim", "8",
+                         "--out", str(out)])
+        assert code == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged in epoch 1:") and err.count("\n") == 1
+        assert (out / "metrics.csv").read_text().splitlines()[1].startswith("1,nan,nan,nan,nan,nan,")
+        assert np.geterr() == numpy_errors  # a library caller keeps its own settings
 
     def test_compare_end_to_end(self, tmp_path, capsys):
         for seed in ("1", "2"):
