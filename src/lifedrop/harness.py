@@ -148,6 +148,8 @@ def _load_data(config: RunConfig, data: tuple[Dataset, Dataset] | None) -> tuple
     """The injected or configured (train, validation) pair, checked to agree
     in feature width and class count and to hold finite features."""
     if data is not None:
+        if config.data_dir is not None or config.blobs is not None:  # the manifest would name unread data
+            raise ConfigError("injected datasets need a config with neither data_dir nor blobs set")
         train_ds, val_ds = data
     elif config.data_dir is not None:
         train_ds, val_ds = load_cifar10(config.data_dir)
@@ -171,13 +173,13 @@ def _load_data(config: RunConfig, data: tuple[Dataset, Dataset] | None) -> tuple
 
 
 def _batch_scales(widths, reg: RegularizerConfig, batch_n: int, epoch: int, batch_i: int):
-    """One batch's fresh (gain, offset) noise per hidden layer; None for the none and dynamic kinds."""
+    """Per hidden layer, fresh (gain, offset) noise drawn in order from one Generator per batch; None if noiseless."""
     # built per call, since perfbench's tracer swaps these module attributes at run time
     draw = {"classical": classical_gain, "gaussian": gaussian_gain, "alpha": alpha_affine}.get(reg.kind)
     if draw is None:
         return None
-    return [draw((batch_n, width), reg.rate, derive_seed(reg.seed, "noise", epoch, batch_i, l))
-            for l, width in enumerate(widths)]
+    rng = np.random.default_rng(derive_seed(reg.seed, "noise", epoch, batch_i))
+    return [draw((batch_n, width), reg.rate, rng) for width in widths]
 
 
 def _reorder_units(network, orders) -> None:
@@ -202,8 +204,8 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     An epoch whose train or validation loss is not finite skips the hook,
     is written with NaN accuracies and gap, and raises ValueError naming
     it: run's one divergence check. `data` injects (train, validation)
-    datasets in place of config.data_dir or config.blobs; that the two
-    agree in feature width and class count, and that float features are
+    datasets, with neither config.data_dir nor config.blobs set; that the
+    two agree in feature width and class count, and that float features are
     finite, is checked before manifest.txt is written, so a refused run
     leaves no files. Zero epochs write the manifest alone and load nothing.
     """
@@ -288,7 +290,10 @@ def read_metrics(path) -> list[EpochMetrics]:
         cells = line.split(",")
         if len(cells) != len(_METRIC_TYPES):
             raise ValueError(f"{path}:{lineno}: expected {len(_METRIC_TYPES)} fields, got {len(cells)}")
-        history.append(EpochMetrics(*(kind(cell) for kind, cell in zip(_METRIC_TYPES.values(), cells))))
+        try:
+            history.append(EpochMetrics(*(kind(cell) for kind, cell in zip(_METRIC_TYPES.values(), cells))))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return history
 
 

@@ -2,12 +2,14 @@
 
 Classical, Gaussian and alpha dropout each draw fresh per-batch noise as
 the (gain, offset) pair that nn.forward applies to the pre-activations.
-The dynamic variant drops the units that are alive on the Game-of-Life
-lattice, which advances one generation per epoch; harness.run trains
-each epoch without them, the same as a gain of 1 - mask on those
-pre-activations. So the comparison between strategies is site-controlled;
-evaluation applies none of them. The draws trust their rate to lie in
-[0, 1), the range RegularizerConfig enforces.
+They seed nothing: each draws from the Generator it is handed, which
+harness._batch_scales keys once per batch. The dynamic variant drops
+the units that are alive on the Game-of-Life lattice, which advances
+one generation per epoch; harness.run trains each epoch without them,
+the same as a gain of 1 - mask on those pre-activations. So the
+comparison between strategies is site-controlled; evaluation applies
+none of them. The draws trust their rate to lie in [0, 1), the range
+RegularizerConfig enforces.
 """
 
 from __future__ import annotations
@@ -77,20 +79,18 @@ def monitor_update(monitor: OverfitMonitor, val_loss: float) -> tuple[OverfitMon
     return replace(monitor, epochs_since_improvement=stalled), False
 
 
-def classical_gain(shape, rate: float, seed: int) -> tuple[np.ndarray, None]:
-    """(gain, None): a gain of 0 with probability rate, else 1/(1-rate)."""
-    rng = np.random.default_rng(seed)
+def classical_gain(shape, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, None]:
+    """(gain, None): a gain of 0 with probability rate, else 1/(1-rate); one uniform draw from rng."""
     return (rng.random(shape) >= rate) / (1.0 - rate), None
 
 
-def gaussian_gain(shape, rate: float, seed: int) -> tuple[np.ndarray, None]:
-    """(gain, None) with the gain ~ Normal(1, rate/(1-rate))."""
-    rng = np.random.default_rng(seed)
+def gaussian_gain(shape, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, None]:
+    """(gain, None) with the gain ~ Normal(1, rate/(1-rate)); one normal draw from rng."""
     return rng.normal(1.0, math.sqrt(rate / (1.0 - rate)), size=shape), None
 
 
-def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gain, offset) such that gain*x + offset is alpha dropout.
+def alpha_affine(shape, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(gain, offset) such that gain*x + offset is alpha dropout; one uniform draw from rng.
 
     Units are kept with probability p = 1-rate or pinned to ALPHA_PRIME,
     then affine-corrected with a = (p + ALPHA_PRIME^2 * p * (1-p))^-0.5 and
@@ -101,7 +101,6 @@ def alpha_affine(shape, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     p = 1.0 - rate
     a = (p + ALPHA_PRIME**2 * p * (1.0 - p)) ** -0.5
     b = -a * (1.0 - p) * ALPHA_PRIME
-    rng = np.random.default_rng(seed)
     keep = rng.random(shape) < p
     return a * keep, b + (a * ALPHA_PRIME) * ~keep
 

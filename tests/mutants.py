@@ -1,0 +1,114 @@
+"""Mutation ledger: named wiring errors that the fast tests must catch.
+
+    python tests/mutants.py
+
+Each mutant is an exact (file, old text, new text) replacement in this
+checkout's `src/`. The script copies `src/`, `tests/`, `perfbench/` and
+`pyproject.toml` into a temporary directory (test_api.py imports
+perfbench's tracer, so without it every run would fail for that reason
+alone) and runs `pytest -x` over every test outside test_acceptance.py:
+first on the unmutated copy, which must pass, then once per mutant,
+printing one `killed` or `SURVIVED` line each. It exits nonzero when a
+mutant's old text does not appear exactly once in its file, when the
+unmutated copy fails, or when any mutant survives. So a refactor that
+rewrites a mutated line must update the list here rather than silently
+drop the check. pytest does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+          "--ignore=tests/test_acceptance.py"]
+RUN_TIMEOUT_S = 900
+
+# (name, file under src/lifedrop, old text, new text)
+MUTANTS = (
+    ("reactivation keyed on generation + 1", "regularizers.py",
+     'derive_seed(config.seed, "reactivate", generation)', 'derive_seed(config.seed, "reactivate", generation + 1)'),
+    ("in-place epoch restored with orders, not their inverse", "harness.py",
+     "_reorder_units(network, [np.argsort(order) for order in orders])", "_reorder_units(network, orders)"),
+    ("alpha offset built with keep for ~keep", "regularizers.py",
+     "b + (a * ALPHA_PRIME) * ~keep", "b + (a * ALPHA_PRIME) * keep"),
+    ("byte evaluation buffer of 1,024 rows", "harness.py", "_BYTE_CHUNK = 256", "_BYTE_CHUNK = 1024"),
+    ("reactivate writes into its input", "lattice.py", "out = cells.copy()", "out = cells"),
+    ("divergence check always passes", "harness.py",
+     "finite = np.isfinite([train_loss, val_loss]).all()", "finite = True"),
+    ("births at three or more neighbours", "lattice.py", "born = ~alive & (neighbors == 3)",
+     "born = ~alive & (neighbors >= 3)"),
+    ("SGD climbs the gradient", "nn.py", "weights -= dw", "weights += dw"),
+    ("batches are never shuffled", "data.py", "order = rng.permutation(dataset.n)", "order = np.arange(dataset.n)"),
+    ("ReLU backward mask at >= 0", "nn.py", "dz *= activations[l] > 0", "dz *= activations[l] >= 0"),
+    ("validation width and class check turned off", "harness.py",
+     "if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):", "if False:"),
+    ("noise keyed on the next batch", "harness.py",
+     'derive_seed(reg.seed, "noise", epoch, batch_i)', 'derive_seed(reg.seed, "noise", epoch, batch_i + 1)'),
+    ("injected datasets accepted beside a configured source", "harness.py",
+     "if config.data_dir is not None or config.blobs is not None:", "if False:"),
+    ("a malformed metrics cell raises without its file and line", "harness.py",
+     'raise ValueError(f"{path}:{lineno}: {exc}") from None', "raise"),
+)
+
+
+def unmatched() -> list[str]:
+    """One line per mutant whose old text is not in its file exactly once."""
+    problems = []
+    for name, file, old, _ in MUTANTS:
+        count = (ROOT / "src" / "lifedrop" / file).read_text().count(old)
+        if count != 1:
+            problems.append(f"{name}: {file} holds its old text {count} times, not once: {old!r}")
+    return problems
+
+
+def passes(copy: Path) -> bool:
+    """Whether pytest -x passes every test outside test_acceptance.py in the copy."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(PYTEST, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            timeout=RUN_TIMEOUT_S)
+    return result.returncode == 0
+
+
+def main() -> int:
+    problems = unmatched()
+    for line in problems:
+        print(f"error: {line}")
+    if problems:
+        return 2
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name, ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+            else:
+                shutil.copy2(source, copy / name)
+        if not passes(copy):
+            print("error: the unmutated copy fails its tests, so no mutant can be judged")
+            return 2
+        print("unmutated: passes", flush=True)
+        survivors = 0
+        for name, file, old, new in MUTANTS:
+            path = copy / "src" / "lifedrop" / file
+            original = path.read_text()
+            path.write_text(original.replace(old, new))
+            try:
+                killed = not passes(copy)
+            finally:
+                path.write_text(original)
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {name} ({file})", flush=True)
+    print(f"mutants: {len(MUTANTS) - survivors} of {len(MUTANTS)} killed in {time.perf_counter() - started:.0f} s",
+          file=sys.stderr)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

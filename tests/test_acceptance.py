@@ -213,16 +213,16 @@ def test_gradients_match_finite_differences(capsys):
 def test_regularizer_output_statistics(capsys):
     """Classical mean +-2% at 1e5 units; Gaussian var +-1% at 1e6; alpha moments at 1e6."""
     ones = np.ones((1, 100_000))
-    gain, _ = classical_gain(ones.shape, rate=0.5, seed=11)
+    gain, _ = classical_gain(ones.shape, rate=0.5, rng=np.random.default_rng(11))
     classical_mean = float((ones * gain).mean())
     classical_ok = abs(classical_mean - 1.0) < 0.02
 
-    gains, _ = gaussian_gain((1_000_000,), rate=0.5, seed=12)
+    gains, _ = gaussian_gain((1_000_000,), rate=0.5, rng=np.random.default_rng(12))
     gaussian_var = float(gains.var())
     gaussian_ok = abs(gaussian_var - 1.0) < 0.01
 
     z = np.random.default_rng(13).standard_normal((1, 1_000_000))
-    gain, offset = alpha_affine(z.shape, rate=0.5, seed=14)
+    gain, offset = alpha_affine(z.shape, rate=0.5, rng=np.random.default_rng(14))
     out = z * gain + offset
     alpha_mean = float(out.mean())
     alpha_var = float(out.var())
@@ -346,14 +346,21 @@ def test_dynamic_beats_classical_on_tail_train_accuracy(capsys, training_compari
 
 
 def test_deep_net_generalization_gap(capsys, training_comparison):
-    """arch3, 30 epochs: median dynamic gap <= median classical gap + 3 points."""
+    """arch3, 30 epochs: median dynamic gap <= median classical gap + 3 points.
+
+    Each run's best train accuracy is printed beside the gaps, not gated: a
+    run that never leaves chance (0.1) has no gap to regularize.
+    """
     histories, _ = training_comparison
     dynamic_gap = statistics.median(histories[("arch3", "dynamic", s)][-1].gap for s in COMPARISON_SEEDS)
     classical_gap = statistics.median(histories[("arch3", "classical", s)][-1].gap for s in COMPARISON_SEEDS)
+    best = {kind: "/".join(f"{max(m.train_acc for m in histories[('arch3', kind, s)]):.4f}" for s in COMPARISON_SEEDS)
+            for kind in ("dynamic", "classical")}
     ok = dynamic_gap <= classical_gap + 0.03
     _report(capsys, ok, "dynamic vs classical generalization gap (arch3)",
             f"median gaps: dynamic {dynamic_gap * 100:+.2f}pp vs classical {classical_gap * 100:+.2f}pp "
-            f"(allowance +3pp)")
+            f"(allowance +3pp); best train accuracy per seed: dynamic {best['dynamic']}, "
+            f"classical {best['classical']} (shown, not gated)")
 
 
 def test_comparison_runs_fit_wall_clock_budget(capsys, training_comparison):

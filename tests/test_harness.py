@@ -1,6 +1,7 @@
 """Experiment-driver tests: run loop, metrics files, manifests, CLI."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -196,6 +197,15 @@ class TestMetricsFile:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="missing"):
             read_metrics(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("row", ["2,1.5,abc,0.4,0.4,0.0,0.25,64", "2,1.5,1.6,0.4,0.4,0.0,0.25,6.4"],
+                             ids=["float", "int"])
+    def test_malformed_cell_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        write_metrics(self.history()[:1], path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            read_metrics(path)
 
 
 class TestManifest:
@@ -547,6 +557,16 @@ class TestRun:
         cfg = blob_config(tmp_path, blobs=None)
         history = run(cfg, data=(train, val))
         assert len(history) == cfg.epochs
+
+    @pytest.mark.parametrize("source", ["data_dir", "blobs"])
+    def test_injected_datasets_refuse_a_configured_source(self, tmp_path, source):
+        # the manifest would name a source the run never read, and a rerun from it would train on other data
+        data = (make_blobs(30, 3, 8, 8.0, seed=1), make_blobs(10, 3, 8, 8.0, seed=2))
+        cfg = blob_config(tmp_path, blobs=BLOBS if source == "blobs" else None,
+                          data_dir=tmp_path / "cifar" if source == "data_dir" else None)
+        with pytest.raises(ConfigError, match="neither data_dir nor blobs"):
+            run(cfg, data=data)
+        assert not (tmp_path / "run").exists()
 
 
 class TestCompare:

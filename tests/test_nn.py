@@ -288,7 +288,7 @@ NOISE_DRAWS = {"none": None, "classical": classical_gain, "gaussian": gaussian_g
 
 def noise_scales(kind, widths, n, seed):
     draw = NOISE_DRAWS[kind]
-    return None if draw is None else [draw((n, w), 0.4, seed + l) for l, w in enumerate(widths)]
+    return None if draw is None else [draw((n, w), 0.4, np.random.default_rng(seed + l)) for l, w in enumerate(widths)]
 
 
 class TestInPlace:

@@ -5,8 +5,9 @@ another order than lifedrop.nn, and its own monitor and evaluation. It
 reuses only parts with oracles of their own: lattice.step/reactivate, the
 gain functions, derive_seed and batches. So it checks how run wires them:
 the board is read before the epoch-end hook and fixed for the epoch, noise
-is keyed on (epoch, batch, layer), evaluation is unmasked, and the hook
-runs monitor -> reactivate -> step with the reactivation seed of the board.
+comes from one generator per (epoch, batch) that the layers draw from in
+order, evaluation is unmasked, and the hook runs monitor -> reactivate ->
+step with the reactivation seed of the board.
 """
 
 import math
@@ -56,14 +57,15 @@ def _reference(config, train, val):
         boards.append(board)
         for batch_i, (x, labels) in enumerate(batches(train, config.batch_size, derive_seed(seed, "batches"), epoch)):
             scales = []
+            noise = np.random.default_rng(derive_seed(reg.seed, "noise", epoch, batch_i))  # the layers draw in order
             for l, width in enumerate(WIDTHS):
-                shape, key = (x.shape[0], width), derive_seed(reg.seed, "noise", epoch, batch_i, l)
+                shape = (x.shape[0], width)
                 if reg.kind == "classical":
-                    scales.append((classical_gain(shape, reg.rate, key)[0], 0.0))
+                    scales.append((classical_gain(shape, reg.rate, noise)[0], 0.0))
                 elif reg.kind == "gaussian":
-                    scales.append((gaussian_gain(shape, reg.rate, key)[0], 0.0))
+                    scales.append((gaussian_gain(shape, reg.rate, noise)[0], 0.0))
                 elif reg.kind == "alpha":
-                    scales.append(alpha_affine(shape, reg.rate, key))
+                    scales.append(alpha_affine(shape, reg.rate, noise))
                 else:  # the board as it stood when the epoch began; all ones without one
                     scales.append((1.0 - board[l] if reg.kind == "dynamic" else 1.0, 0.0))
             acts = forward(x, scales)

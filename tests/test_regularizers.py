@@ -198,55 +198,55 @@ class TestDynamicMask:
 class TestClassical:
     def test_rate_zero_is_identity(self):
         z = np.random.default_rng(0).normal(size=(3, 5))
-        gain, offset = classical_gain(z.shape, 0.0, seed=1)
+        gain, offset = classical_gain(z.shape, 0.0, np.random.default_rng(1))
         assert offset is None and np.array_equal(z * gain, z)
 
     def test_inverted_scaling_keeps_the_mean(self):
-        out, _ = classical_gain((1, 100_000), 0.5, seed=7)
+        out, _ = classical_gain((1, 100_000), 0.5, np.random.default_rng(7))
         assert 0.98 <= out.mean() <= 1.02
 
     def test_survivors_scaled_exactly(self):
-        out, _ = classical_gain((1, 1000), 0.2, seed=3)
+        out, _ = classical_gain((1, 1000), 0.2, np.random.default_rng(3))
         assert set(np.round(np.unique(out), 12)) == {0.0, 1.25}
 
     def test_drop_fraction_near_rate(self):
-        out, _ = classical_gain((1, 100_000), 0.3, seed=9)
+        out, _ = classical_gain((1, 100_000), 0.3, np.random.default_rng(9))
         assert abs((out == 0).mean() - 0.3) < 0.01
 
     def test_deterministic_per_seed(self):
-        a, _ = classical_gain((4, 6), 0.5, seed=42)
-        b, _ = classical_gain((4, 6), 0.5, seed=42)
+        a, _ = classical_gain((4, 6), 0.5, np.random.default_rng(42))
+        b, _ = classical_gain((4, 6), 0.5, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
 
 class TestGaussian:
     def test_rate_zero_is_identity(self):
         z = np.random.default_rng(3).normal(size=(2, 8))
-        gain, offset = gaussian_gain(z.shape, 0.0, seed=1)
+        gain, offset = gaussian_gain(z.shape, 0.0, np.random.default_rng(1))
         assert offset is None and np.array_equal(z * gain, z)
 
     def test_multiplier_statistics(self):
-        gains, _ = gaussian_gain((1_000_000,), 0.5, seed=11)
+        gains, _ = gaussian_gain((1_000_000,), 0.5, np.random.default_rng(11))
         assert 0.99 <= gains.var() <= 1.01  # rate/(1-rate) = 1
         assert abs(gains.mean() - 1.0) < 0.005
 
     def test_variance_tracks_rate(self):
-        gains, _ = gaussian_gain((1_000_000,), 0.2, seed=12)
+        gains, _ = gaussian_gain((1_000_000,), 0.2, np.random.default_rng(12))
         assert abs(gains.var() - 0.25) < 0.005
 
 
 class TestAlpha:
     def test_rate_zero_is_identity(self):
         z = np.random.default_rng(5).normal(size=(2, 8))
-        gain, offset = alpha_affine(z.shape, 0.0, seed=1)
+        gain, offset = alpha_affine(z.shape, 0.0, np.random.default_rng(1))
         assert np.array_equal(z * gain + offset, z)
-        gain, offset = alpha_affine((3,), 0.0, seed=1)
+        gain, offset = alpha_affine((3,), 0.0, np.random.default_rng(1))
         assert np.array_equal(gain, np.ones(3)) and np.array_equal(offset, np.zeros(3))
         assert not np.signbit(offset).any()
 
     def test_preserves_standard_normal_statistics(self):
         z = np.random.default_rng(13).standard_normal(1_000_000)
-        gain, offset = alpha_affine(z.shape, 0.5, seed=14)
+        gain, offset = alpha_affine(z.shape, 0.5, np.random.default_rng(14))
         out = z * gain + offset
         assert -0.02 <= out.mean() <= 0.02
         assert 0.97 <= out.var() <= 1.03
@@ -255,7 +255,7 @@ class TestAlpha:
         p = 0.5
         a = (p + ALPHA_PRIME**2 * p * (1 - p)) ** -0.5
         b = -a * (1 - p) * ALPHA_PRIME
-        gain, offset = alpha_affine((10_000,), 0.5, seed=15)
+        gain, offset = alpha_affine((10_000,), 0.5, np.random.default_rng(15))
         dropped = gain == 0.0
         assert 0.3 < dropped.mean() < 0.7
         # where a unit is dropped the affine output is the constant a*alpha'+b
@@ -271,7 +271,7 @@ class TestAlpha:
         b = -a * (1 - p) * ALPHA_PRIME
         for seed, shape in ((16, (64, 33)), (17, (5,)), (18, (128, 64))):
             keep = np.random.default_rng(seed).random(shape) < p
-            gain, offset = alpha_affine(shape, rate, seed=seed)
+            gain, offset = alpha_affine(shape, rate, np.random.default_rng(seed))
             assert gain.tobytes() == (a * keep).tobytes()
             assert offset.tobytes() == np.where(keep, b, a * ALPHA_PRIME + b).tobytes()
 
