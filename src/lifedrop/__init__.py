@@ -7,12 +7,12 @@ provided as fixed baselines.
 """
 
 from lifedrop.data import BlobSpec, Dataset, load_cifar10, make_blobs
-from lifedrop.harness import ARCH_PRESETS, ConfigError, EpochMetrics, RunConfig, compare, run
+from lifedrop.harness import ARCH_PRESETS, EpochMetrics, RunConfig, compare, run
 from lifedrop.regularizers import RegularizerConfig
 
 __all__ = [
-    "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "RegularizerConfig",
-    "RunConfig", "compare", "load_cifar10", "make_blobs", "run",
+    "ARCH_PRESETS", "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare",
+    "load_cifar10", "make_blobs", "run",
 ]
 
 __version__ = "0.1.0"

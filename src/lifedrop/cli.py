@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from lifedrop.harness import BlobSpec, ConfigError, RunConfig, compare, run
+from lifedrop.harness import BlobSpec, RunConfig, compare, run
 from lifedrop.regularizers import KINDS, RegularizerConfig
 
 
@@ -59,7 +59,7 @@ def _parse_snapshot_epochs(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"cannot parse --snapshot-epochs {text!r}") from None
+        raise ValueError(f"cannot parse --snapshot-epochs {text!r}") from None
 
 
 def _train(args) -> int:

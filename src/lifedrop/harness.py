@@ -34,10 +34,6 @@ ARCH_PRESETS = {
 SUMMARY_HEADER = "run,regularizer,final_train_loss,final_val_loss,final_train_acc,final_val_acc,max_val_acc,final_gap"
 
 
-class ConfigError(ValueError):
-    """Bad run configuration (unknown preset, missing data source, ...)."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run depends on, checked when built so that a bad config
@@ -61,18 +57,16 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "widths", resolve_architecture(self.architecture))
         if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if any(e < 1 for e in self.snapshot_epochs):
-            raise ConfigError(f"snapshot_epochs must be at least 1, got {self.snapshot_epochs}")
+            raise ValueError(f"snapshot_epochs must be at least 1, got {self.snapshot_epochs}")
         if not 0 < self.learning_rate < np.inf:  # also false for NaN
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.data_dir is not None and self.blobs is not None:
-            raise ConfigError("set one data source, data_dir or blobs, not both")
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.regularizer.kind == "dynamic" and len(set(self.widths)) != 1:
-            raise ConfigError("dynamic regularizer needs uniform hidden widths "
-                              f"(the lattice is rectangular), got {self.widths}")
+            raise ValueError("dynamic regularizer needs uniform hidden widths "
+                             f"(the lattice is rectangular), got {self.widths}")
         OverfitMonitor(patience=self.patience, min_delta=self.min_delta)  # its rules, for every kind
 
 
@@ -102,14 +96,14 @@ def resolve_architecture(arch) -> tuple[int, ...]:
             try:
                 widths = tuple(int(w) for w in arch.removeprefix("custom:").split(","))
             except ValueError:
-                raise ConfigError(f"cannot parse custom architecture {arch!r}") from None
+                raise ValueError(f"cannot parse custom architecture {arch!r}") from None
         else:
-            raise ConfigError(f"unknown architecture preset {arch!r} "
-                              f"(expected one of {sorted(ARCH_PRESETS)} or custom:<w1,w2,...>)")
+            raise ValueError(f"unknown architecture preset {arch!r} "
+                             f"(expected one of {sorted(ARCH_PRESETS)} or custom:<w1,w2,...>)")
     else:
         widths = tuple(int(w) for w in arch)
     if not widths or any(w < 1 for w in widths):
-        raise ConfigError(f"layer widths must be positive, got {widths}")
+        raise ValueError(f"layer widths must be positive, got {widths}")
     return widths
 
 
@@ -145,20 +139,21 @@ def evaluate(network, dataset: Dataset) -> tuple[float, float]:
 
 
 def _load_data(config: RunConfig, data: tuple[Dataset, Dataset] | None) -> tuple[Dataset, Dataset]:
-    """The injected or configured (train, validation) pair, checked to agree
-    in feature width and class count and to hold finite features."""
+    """The (train, validation) pair from the run's one data source: injected
+    datasets, config.data_dir or config.blobs, exactly one of them, since a
+    manifest naming data the run never read would rerun on other data. The
+    pair is checked to agree in feature width and class count and to hold
+    finite features."""
+    if (data is not None) + (config.data_dir is not None) + (config.blobs is not None) != 1:
+        raise ValueError("set exactly one data source: data_dir, blobs, or injected datasets")
     if data is not None:
-        if config.data_dir is not None or config.blobs is not None:  # the manifest would name unread data
-            raise ConfigError("injected datasets need a config with neither data_dir nor blobs set")
         train_ds, val_ds = data
     elif config.data_dir is not None:
         train_ds, val_ds = load_cifar10(config.data_dir)
-    elif config.blobs is not None:
+    else:
         b = config.blobs  # train, then a validation set a fifth the size
         train_ds, val_ds = (make_blobs(n, b.classes, b.dim, b.separation, seed=derive_seed(config.seed, "blobs", i))
                             for i, n in enumerate((b.per_class, max(1, b.per_class // 5))))
-    else:
-        raise ConfigError("no data source configured: set data_dir or blobs, or inject datasets")
     width, classes = train_ds.features.shape[1], train_ds.class_count
     if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):
         raise ValueError(f"validation set has {val_ds.features.shape[1]} features and {val_ds.class_count} "
@@ -204,19 +199,17 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     An epoch whose train or validation loss is not finite skips the hook,
     is written with NaN accuracies and gap, and raises ValueError naming
     it: run's one divergence check. `data` injects (train, validation)
-    datasets, with neither config.data_dir nor config.blobs set; that the
-    two agree in feature width and class count, and that float features are
-    finite, is checked before manifest.txt is written, so a refused run
-    leaves no files. Zero epochs write the manifest alone and load nothing.
+    datasets, with neither config.data_dir nor config.blobs set. Every run,
+    zero epochs included, loads its data and checks it (one source, equal
+    feature width and class count, finite float features) before
+    manifest.txt is written, so a refused run leaves no files. Zero epochs
+    write the manifest alone.
     """
     reg = config.regularizer
-    if config.epochs:  # before any file is written
-        train_ds, val_ds = _load_data(config, data)
+    train_ds, val_ds = _load_data(config, data)  # before any file is written
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(config, out / "manifest.txt")
-    if config.epochs == 0:
-        return []
 
     width, classes = train_ds.features.shape[1], train_ds.class_count
     network = nn.init_network(config.widths, width, classes, seed=derive_seed(config.seed, "init"))
@@ -331,28 +324,18 @@ def write_manifest(config: RunConfig, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _manifest_kwargs(cls, entries: dict, prefix="") -> dict:
-    """Constructor arguments for `cls`, popped from the manifest entries write_manifest produced."""
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        key = prefix + f.name
-        if not f.init or f.name == "output_dir":
-            continue
-        nested = next((t for t in (hints[f.name], *typing.get_args(hints[f.name])) if is_dataclass(t)), None)
-        if nested is not None and key not in entries:
-            kwargs[f.name] = nested(**_manifest_kwargs(nested, entries, key + "."))
-        else:
-            kwargs[f.name] = entries.pop(key)
-    return kwargs
+def _pop_fields(cls, entries: dict, prefix="", skip=()) -> dict:
+    """`cls`'s init fields but `skip`, popped from the manifest entries under `prefix`."""
+    return {f.name: entries.pop(prefix + f.name) for f in fields(cls) if f.init and f.name not in skip}
 
 
 def config_from_manifest(path, output_dir) -> RunConfig:
     """Rebuild the RunConfig recorded by write_manifest.
 
-    Blank lines are skipped. A missing, unknown, repeated or malformed
-    key, or a `layers` line that differs from the resolved widths, raises
-    ValueError naming the path.
+    The nested configs are read from their dotted keys, `regularizer.*`
+    and `blobs.*` (or `blobs = None`). Blank lines are skipped. A missing,
+    unknown, repeated or malformed key, or a `layers` line that differs
+    from the resolved widths, raises ValueError naming the path.
     """
     path = Path(path)
     if not path.is_file():
@@ -371,7 +354,13 @@ def config_from_manifest(path, output_dir) -> RunConfig:
         except (ValueError, SyntaxError):
             raise ValueError(f"{path}:{lineno}: malformed manifest value {value!r}") from None
     try:
-        config = RunConfig(output_dir=output_dir, **_manifest_kwargs(RunConfig, entries))
+        kwargs = _pop_fields(RunConfig, entries, skip=("output_dir", "regularizer", "blobs"))
+        regularizer = RegularizerConfig(**_pop_fields(RegularizerConfig, entries, "regularizer."))
+        if "blobs" in entries and entries["blobs"] is None:  # how write_manifest records no blobs
+            blobs = entries.pop("blobs")
+        else:
+            blobs = BlobSpec(**_pop_fields(BlobSpec, entries, "blobs."))
+        config = RunConfig(output_dir=output_dir, regularizer=regularizer, blobs=blobs, **kwargs)
         layers = entries.pop("layers")
     except KeyError as exc:
         raise ValueError(f"{path}: manifest is missing key {exc}") from None

@@ -5,8 +5,9 @@ and one column per unit. A cell value of 1 means alive, and an alive
 cell drops the matching neuron. Cells outside the grid count as dead
 (no wrap-around). Every function returns a new array and leaves its
 input unchanged, so a board can be kept around as a per-epoch snapshot.
-Arguments are trusted: RunConfig checks the board's shape and density,
-and on_epoch_end_dynamic never asks for a negative revival count.
+Arguments are trusted: RunConfig checks the board's shape,
+RegularizerConfig its density, and on_epoch_end_dynamic never asks for
+a negative revival count.
 """
 
 from __future__ import annotations

@@ -50,10 +50,22 @@ MUTANTS = (
      "if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):", "if False:"),
     ("noise keyed on the next batch", "harness.py",
      'derive_seed(reg.seed, "noise", epoch, batch_i)', 'derive_seed(reg.seed, "noise", epoch, batch_i + 1)'),
-    ("injected datasets accepted beside a configured source", "harness.py",
-     "if config.data_dir is not None or config.blobs is not None:", "if False:"),
+    ("a second data source accepted beside the first", "harness.py",
+     "(config.blobs is not None) != 1:", "(config.blobs is not None) == 0:"),
     ("a malformed metrics cell raises without its file and line", "harness.py",
      'raise ValueError(f"{path}:{lineno}: {exc}") from None', "raise"),
+    ("a zero-epoch run writes its manifest without loading its data", "harness.py",
+     "    train_ds, val_ds = _load_data(config, data)",
+     "    if config.epochs == 0:\n"
+     "        Path(config.output_dir).mkdir(parents=True, exist_ok=True)\n"
+     "        write_manifest(config, Path(config.output_dir) / \"manifest.txt\")\n"
+     "        return []\n"
+     "    train_ds, val_ds = _load_data(config, data)"),
+    ("a bare regularizer manifest line taken as the nested config", "harness.py",
+     "regularizer = RegularizerConfig(**_pop_fields(",
+     'regularizer = entries.pop("regularizer") if "regularizer" in entries else RegularizerConfig(**_pop_fields('),
+    ("the CLI reports only OSError as an error line", "cli.py",
+     "except (ValueError, OSError) as exc:", "except OSError as exc:"),
 )
 
 

@@ -11,8 +11,8 @@ import lifedrop
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC = {
-    "ARCH_PRESETS", "BlobSpec", "ConfigError", "Dataset", "EpochMetrics", "RegularizerConfig",
-    "RunConfig", "compare", "load_cifar10", "make_blobs", "run",
+    "ARCH_PRESETS", "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare",
+    "load_cifar10", "make_blobs", "run",
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 from lifedrop import harness, nn
 from lifedrop.cli import main
 from lifedrop.data import Dataset, make_blobs
-from lifedrop.harness import (ARCH_PRESETS, BlobSpec, ConfigError, EpochMetrics, RunConfig,
+from lifedrop.harness import (ARCH_PRESETS, BlobSpec, EpochMetrics, RunConfig,
                               compare, config_from_manifest, evaluate, read_metrics,
                               resolve_architecture, run, write_manifest, write_metrics)
 from lifedrop.lattice import init_random, reactivate, step
@@ -46,15 +46,15 @@ class TestResolveArchitecture:
         assert resolve_architecture([32, 32]) == (32, 32)
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigError, match="arch9"):
+        with pytest.raises(ValueError, match="arch9"):
             resolve_architecture("arch9")
 
     def test_garbage_custom_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             resolve_architecture("custom:a,b")
 
     def test_non_positive_width_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             resolve_architecture([8, 0])
 
 
@@ -226,7 +226,7 @@ class TestManifest:
 
     def test_unknown_preset_fails_before_writing(self, tmp_path):
         path = tmp_path / "manifest.txt"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             write_manifest(blob_config(tmp_path, architecture="arch7"), path)
         assert not path.exists()
 
@@ -282,8 +282,12 @@ class TestManifest:
         (lambda text: text.replace("epochs = 3", "epochs = three"), r"manifest.txt:7: malformed manifest value"),
         (lambda text: text.replace("layers = (8,)", "layers = (8, 8)"), r"manifest.txt: layers \(8, 8\) do not match"),
         (lambda text: text.replace("epochs = 3", "epochs = -3"), r"manifest.txt: epochs must be non-negative"),
+        # a nested config is read from its dotted keys only, never from a bare `regularizer` line
+        (lambda text: re.sub(r"(regularizer\..*\n)+", "regularizer = 'dynamic'\n", text),
+         r"manifest.txt: manifest is missing key 'regularizer.kind'"),
+        (lambda text: text + "regularizer = 'dynamic'\n", r"manifest.txt: unknown manifest key 'regularizer'"),
     ], ids=["duplicate", "unknown", "missing", "missing-nested", "missing-layers", "malformed-value",
-            "layers-mismatch", "bad-value"])
+            "layers-mismatch", "bad-value", "nested-replaced", "nested-beside"])
     def test_bad_manifest_named(self, tmp_path, edit, message):
         path = tmp_path / "manifest.txt"
         write_manifest(blob_config(tmp_path), path)
@@ -409,7 +413,7 @@ class TestRun:
         assert np.array_equal(np.asarray(got), lat)
 
     def test_dynamic_needs_uniform_widths(self, tmp_path):
-        with pytest.raises(ConfigError, match="uniform"):
+        with pytest.raises(ValueError, match="uniform"):
             run(blob_config(tmp_path, reg_kind="dynamic", architecture=[8, 6]))
 
     def test_reactivation_accounting_replays(self, tmp_path):
@@ -451,11 +455,11 @@ class TestRun:
         assert history[1].live_mask_fraction == step(lat).sum() / lat.size
 
     def test_bad_numbers_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             run(blob_config(tmp_path, epochs=-1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             run(blob_config(tmp_path, batch_size=0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             run(blob_config(tmp_path, learning_rate=0.0))
 
     @pytest.mark.parametrize("kind", ["none", "classical", "gaussian", "alpha", "dynamic"])
@@ -481,14 +485,16 @@ class TestRun:
             blob_config(tmp_path, blobs=BlobSpec(**spec))
         assert not (tmp_path / "run").exists()
 
-    def test_two_data_sources_rejected_when_built(self, tmp_path):
-        with pytest.raises(ConfigError, match="not both"):
-            blob_config(tmp_path, data_dir=tmp_path / "cifar")
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_two_data_sources_rejected_before_writing(self, tmp_path, epochs):
+        cfg = blob_config(tmp_path, epochs=epochs, data_dir=tmp_path / "cifar")
+        with pytest.raises(ValueError, match="exactly one data source"):
+            run(cfg)
         assert not (tmp_path / "run").exists()
 
     def test_missing_data_source_rejected(self, tmp_path):
         cfg = blob_config(tmp_path, blobs=None)
-        with pytest.raises(ConfigError, match="data source"):
+        with pytest.raises(ValueError, match="exactly one data source"):
             run(cfg)
 
     @pytest.mark.parametrize("reg_kind", ["dynamic", "alpha"])
@@ -564,8 +570,15 @@ class TestRun:
         data = (make_blobs(30, 3, 8, 8.0, seed=1), make_blobs(10, 3, 8, 8.0, seed=2))
         cfg = blob_config(tmp_path, blobs=BLOBS if source == "blobs" else None,
                           data_dir=tmp_path / "cifar" if source == "data_dir" else None)
-        with pytest.raises(ConfigError, match="neither data_dir nor blobs"):
+        with pytest.raises(ValueError, match="exactly one data source"):
             run(cfg, data=data)
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_epoch_run_checks_its_data_source(self, tmp_path):
+        # zero epochs train nothing, but their manifest would still name blobs the run never read
+        data = (make_blobs(30, 3, 8, 8.0, seed=1), make_blobs(10, 3, 8, 8.0, seed=2))
+        with pytest.raises(ValueError, match="exactly one data source"):
+            run(blob_config(tmp_path, epochs=0), data=data)
         assert not (tmp_path / "run").exists()
 
 
@@ -696,6 +709,15 @@ class TestCli:
                      "--out", str(summary)])
         assert code == 0
         assert len(summary.read_text().splitlines()) == 3
+
+    def test_compare_bad_nested_config_is_one_error_line(self, tmp_path, capsys):
+        d = TestCompare().fake_run(tmp_path, "r", 0.5, 0.4)
+        manifest = d / "manifest.txt"
+        manifest.write_text(re.sub(r"(regularizer\..*\n)+", "regularizer = 'dynamic'\n", manifest.read_text()))
+        code = main(["compare", str(d), "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
 
     def test_compare_missing_dir_fails(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path / "nothing"), "--out", str(tmp_path / "s.csv")])

@@ -7,7 +7,7 @@ import pytest
 
 from lifedrop import nn
 from lifedrop.data import Dataset
-from lifedrop.harness import ConfigError, RunConfig
+from lifedrop.harness import RunConfig
 from lifedrop.regularizers import RegularizerConfig, alpha_affine, classical_gain, gaussian_gain
 
 
@@ -186,7 +186,7 @@ class TestInitNetwork:
     def test_zero_width_rejected(self):
         # init_network trusts its widths: they are checked once, where the run is configured
         for widths in ([4, 0], []):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ValueError):
                 RunConfig(architecture=widths, regularizer=RegularizerConfig("none"), output_dir="unused")
 
 
@@ -444,7 +444,7 @@ class TestSgdStep:
     def test_bad_learning_rate_rejected(self):
         # sgd_step trusts its rate: it is checked once, where the run is configured
         for rate in (0.0, -0.1):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ValueError):
                 RunConfig(architecture=[3], regularizer=RegularizerConfig("none"), output_dir="unused",
                           learning_rate=rate)
 
