@@ -3,12 +3,13 @@
 Reads the canonical CIFAR-10 binary distribution (six files of 10,000
 records; each record is 1 label byte followed by 3072 pixel bytes laid
 out as three 1024-byte channel planes, row-major). Each split's files
-are read straight into one (records, 3073) uint8 buffer, and the
-split's features are the pixel columns of that buffer, a strided view
-of the raw bytes. `Dataset.rows` scales each batch or evaluation chunk
-into [0, 1] by dividing by 255 as it is read, so only compute is
-float64. No other preprocessing. A synthetic Gaussian-blob generator
-stands in for fast, offline tests.
+are read straight into one (records, 3073) uint8 buffer, and the split's
+features are the pixel columns of that buffer, a strided view of the raw
+bytes. `Dataset.rows` scales each batch or evaluation chunk into [0, 1]
+by dividing by 255 as it is read, so only compute is float64. No other
+preprocessing. A synthetic Gaussian-blob generator stands in for fast,
+offline tests. make_blobs and batches draw from the seed they are given,
+and harness derives every seed.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from lifedrop.seeding import derive_seed
 
 RECORD_BYTES = 3073
 RECORDS_PER_FILE = 10_000
@@ -171,14 +170,13 @@ def make_blobs(per_class: int, classes: int, dim: int, separation: float, seed: 
     return Dataset(features, labels, name=f"blobs-{classes}x{per_class}", class_count=classes)
 
 
-def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
+def batches(dataset: Dataset, batch_size: int, seed: int):
     """Yield (float64 features, class-index labels) covering every sample exactly once.
 
-    The order is a fresh permutation that is a pure function of
-    (seed, epoch); the last batch may be short.
+    The order is a permutation drawn from `seed` alone (harness.run
+    passes a fresh one per epoch); the last batch may be short.
     """
-    rng = np.random.default_rng(derive_seed(seed, "shuffle", epoch))
-    order = rng.permutation(dataset.n)
+    order = np.random.default_rng(seed).permutation(dataset.n)
     for start in range(0, dataset.n, batch_size):
         idx = order[start:start + batch_size]
         yield dataset.rows(idx), dataset.labels[idx]

@@ -11,6 +11,7 @@ metrics files and snapshots.
 from __future__ import annotations
 
 import ast
+import operator
 import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -23,7 +24,6 @@ from lifedrop.data import BlobSpec, Dataset, batches, load_cifar10, make_blobs
 from lifedrop.lattice import init_random, write_pbm
 from lifedrop.regularizers import (OverfitMonitor, RegularizerConfig, alpha_affine, classical_gain,
                                    gaussian_gain, on_epoch_end_dynamic)
-from lifedrop.seeding import derive_seed
 
 ARCH_PRESETS = {
     "arch1": (512, 512, 512),
@@ -32,6 +32,18 @@ ARCH_PRESETS = {
 }
 
 SUMMARY_HEADER = "run,regularizer,final_train_loss,final_val_loss,final_train_acc,final_val_acc,max_val_acc,final_gap"
+
+
+def derive_seed(master: int, *key) -> int:
+    """Stable child seed for (master, key), key parts str or int: run and its helpers key every stream with it."""
+    parts: list[int] = []
+    for item in key:
+        if isinstance(item, str):
+            parts.extend(item.encode())
+        else:
+            parts.append(int(item) & 0xFFFFFFFF)
+    ss = np.random.SeedSequence(entropy=int(master) & 0xFFFFFFFFFFFFFFFF, spawn_key=tuple(parts))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,15 @@ class RunConfig:
     widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.regularizer, RegularizerConfig):
+            raise ValueError(f"regularizer must be a RegularizerConfig, got {self.regularizer!r}")
+        if self.blobs is not None and not isinstance(self.blobs, BlobSpec):
+            raise ValueError(f"blobs must be a BlobSpec or None, got {self.blobs!r}")
+        for name in ("epochs", "batch_size"):  # numpy integers pass, floats do not
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         object.__setattr__(self, "widths", resolve_architecture(self.architecture))
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
@@ -235,7 +256,8 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
             kept = [width, *(row.size - int(row.sum()) for row in board), classes]
             trained = [(w[:rows, :cols], b[:rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
 
-        for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, batch_seed, epoch)):
+        shuffle_seed = derive_seed(batch_seed, "shuffle", epoch)
+        for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, shuffle_seed)):
             _, trace = nn.forward(trained, x, scales=_batch_scales(config.widths, reg, x.shape[0], epoch, batch_i))
             nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
             del x, y, trace  # one batch alive at a time: free this one before the next is gathered
@@ -250,7 +272,8 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
             train_acc = val_acc = np.nan
         reactivated = 0
         if board is not None and finite:
-            board, monitor, _, reactivated = on_epoch_end_dynamic(board, epoch - 1, monitor, val_loss, reg)
+            revival_seed = derive_seed(reg.seed, "reactivate", epoch - 1)  # keyed on the board's generation
+            board, monitor, _, reactivated = on_epoch_end_dynamic(board, revival_seed, monitor, val_loss, reg)
         history.append(EpochMetrics(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
                                     train_acc=train_acc, val_acc=val_acc,
                                     gap=train_acc - val_acc, live_mask_fraction=live_frac,

@@ -2,14 +2,14 @@
 
 Classical, Gaussian and alpha dropout each draw fresh per-batch noise as
 the (gain, offset) pair that nn.forward applies to the pre-activations.
-They seed nothing: each draws from the Generator it is handed, which
-harness._batch_scales keys once per batch. The dynamic variant drops
-the units that are alive on the Game-of-Life lattice, which advances
-one generation per epoch; harness.run trains each epoch without them,
-the same as a gain of 1 - mask on those pre-activations. So the
-comparison between strategies is site-controlled; evaluation applies
-none of them. The draws trust their rate to lie in [0, 1), the range
-RegularizerConfig enforces.
+The dynamic variant drops the units that are alive on the Game-of-Life
+lattice, which advances one generation per epoch; harness.run trains
+each epoch without them, the same as a gain of 1 - mask on those
+pre-activations. So the comparison between strategies is
+site-controlled; evaluation applies none of them. Nothing here derives a
+seed: harness keys the Generator each draw is handed, once per batch,
+and the seed of the epoch-end hook's revival draw. The draws trust their
+rate to lie in [0, 1), the range RegularizerConfig enforces.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from lifedrop.lattice import reactivate, step
-from lifedrop.seeding import derive_seed
 
 KINDS = ("none", "classical", "gaussian", "alpha", "dynamic")
 
@@ -105,15 +104,15 @@ def alpha_affine(shape, rate: float, rng: np.random.Generator) -> tuple[np.ndarr
     return a * keep, b + (a * ALPHA_PRIME) * ~keep
 
 
-def on_epoch_end_dynamic(board: np.ndarray, generation: int, monitor: OverfitMonitor, val_loss: float,
+def on_epoch_end_dynamic(board: np.ndarray, seed: int, monitor: OverfitMonitor, val_loss: float,
                          config: RegularizerConfig):
-    """End-of-epoch hook for the dynamic regularizer, given the board and its generation number.
+    """End-of-epoch hook for the dynamic regularizer, given the board and the seed of its revival draw.
 
     Order is fixed: update the monitor; if it fired, revive
-    ceil(reactivation_fraction * dead_count) cells so the fresh cells take
-    part in the next generation; then advance the board one step. The
-    generation keys the reactivation seed; the caller's board is left
-    unchanged.
+    ceil(reactivation_fraction * dead_count) cells, drawn from `seed`, so
+    the fresh cells take part in the next generation; then advance the
+    board one step. harness.run keys the seed on the board's generation;
+    the caller's board is left unchanged.
 
     Returns (next_board, next_monitor, triggered, cells_revived).
     """
@@ -122,6 +121,6 @@ def on_epoch_end_dynamic(board: np.ndarray, generation: int, monitor: OverfitMon
     if triggered:
         before = int(board.sum())
         quota = math.ceil(config.reactivation_fraction * (board.size - before))
-        board = reactivate(board, quota, derive_seed(config.seed, "reactivate", generation))
+        board = reactivate(board, quota, seed)
         revived = int(board.sum()) - before
     return step(board), next_monitor, triggered, revived

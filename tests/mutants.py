@@ -31,8 +31,8 @@ RUN_TIMEOUT_S = 900
 
 # (name, file under src/lifedrop, old text, new text)
 MUTANTS = (
-    ("reactivation keyed on generation + 1", "regularizers.py",
-     'derive_seed(config.seed, "reactivate", generation)', 'derive_seed(config.seed, "reactivate", generation + 1)'),
+    ("reactivation keyed on generation + 1", "harness.py",
+     'derive_seed(reg.seed, "reactivate", epoch - 1)', 'derive_seed(reg.seed, "reactivate", epoch)'),
     ("in-place epoch restored with orders, not their inverse", "harness.py",
      "_reorder_units(network, [np.argsort(order) for order in orders])", "_reorder_units(network, orders)"),
     ("alpha offset built with keep for ~keep", "regularizers.py",
@@ -44,7 +44,10 @@ MUTANTS = (
     ("births at three or more neighbours", "lattice.py", "born = ~alive & (neighbors == 3)",
      "born = ~alive & (neighbors >= 3)"),
     ("SGD climbs the gradient", "nn.py", "weights -= dw", "weights += dw"),
-    ("batches are never shuffled", "data.py", "order = rng.permutation(dataset.n)", "order = np.arange(dataset.n)"),
+    ("batches are never shuffled", "data.py",
+     "order = np.random.default_rng(seed).permutation(dataset.n)", "order = np.arange(dataset.n)"),
+    ("shuffle keyed on the next epoch", "harness.py",
+     'derive_seed(batch_seed, "shuffle", epoch)', 'derive_seed(batch_seed, "shuffle", epoch + 1)'),
     ("ReLU backward mask at >= 0", "nn.py", "dz *= activations[l] > 0", "dz *= activations[l] >= 0"),
     ("validation width and class check turned off", "harness.py",
      "if (val_ds.features.shape[1], val_ds.class_count) != (width, classes):", "if False:"),
@@ -66,6 +69,12 @@ MUTANTS = (
      'regularizer = entries.pop("regularizer") if "regularizer" in entries else RegularizerConfig(**_pop_fields('),
     ("the CLI reports only OSError as an error line", "cli.py",
      "except (ValueError, OSError) as exc:", "except OSError as exc:"),
+    ("a regularizer of another type accepted when built", "harness.py",
+     "if not isinstance(self.regularizer, RegularizerConfig):", "if False:"),
+    ("blobs of another type accepted when built", "harness.py",
+     "if self.blobs is not None and not isinstance(self.blobs, BlobSpec):", "if False:"),
+    ("a float epoch count or batch size truncated to an integer", "harness.py",
+     "operator.index(getattr(self, name))", "int(getattr(self, name))"),
 )
 
 

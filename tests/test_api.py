@@ -1,10 +1,14 @@
 """The package's public names: what a user of run and compare needs, each resolving and star-importing.
 
-Also the module attributes perfbench's tracer wraps, which must all exist.
+Also the module attributes perfbench's tracer wraps, which must all exist, and the one module that derives seeds.
 """
 
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
+
+import pytest
 
 import lifedrop
 
@@ -17,7 +21,7 @@ PUBLIC = {
 
 
 def test_all_is_the_public_surface():
-    # the lower layers (nn, lattice, regularizers, seeding) are imported from their own modules
+    # the lower layers (nn, lattice, regularizers) are imported from their own modules
     assert sorted(lifedrop.__all__) == sorted(PUBLIC)
 
 
@@ -31,6 +35,15 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from lifedrop import *", namespace)  # a stale __all__ entry raises AttributeError here
     assert set(lifedrop.__all__) <= set(namespace)
+
+
+def test_only_harness_derives_seeds():
+    # every random stream is keyed in one module; the others draw from the seeds they are given
+    modules = [info.name for info in pkgutil.iter_modules(lifedrop.__path__)]
+    holders = [name for name in modules if hasattr(importlib.import_module(f"lifedrop.{name}"), "derive_seed")]
+    assert holders == ["harness"]
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("lifedrop.seeding")
 
 
 def test_every_perfbench_trace_hook_exists(monkeypatch):

@@ -131,33 +131,34 @@ class TestBatches:
 
     def test_batch_sizes(self):
         d = self.dataset(1000)
-        sizes = [x.shape[0] for x, _ in batches(d, 512, seed=1, epoch=1)]
+        sizes = [x.shape[0] for x, _ in batches(d, 512, seed=1)]
         assert sizes == [512, 488]
 
     def test_every_sample_exactly_once(self):
         d = self.dataset(100)
         seen = []
-        for x, y in batches(d, 32, seed=2, epoch=3):
+        for x, y in batches(d, 32, seed=2):
             seen.extend(np.round(x[:, 0] * 100).astype(int).tolist())
             assert y.shape == (x.shape[0],)
         assert sorted(seen) == list(range(100))
 
     def test_labels_match_rows(self):
         d = self.dataset(50)
-        for x, y in batches(d, 16, seed=4, epoch=0):
+        for x, y in batches(d, 16, seed=4):
             idx = np.round(x[:, 0] * 50).astype(int)
             assert y.dtype == np.int64 and np.array_equal(y, d.labels[idx])
 
-    def test_same_seed_and_epoch_reproduce_order(self):
+    def test_same_seed_reproduces_order(self):
         d = self.dataset(64)
-        a = [x[:, 0].tolist() for x, _ in batches(d, 16, seed=5, epoch=2)]
-        b = [x[:, 0].tolist() for x, _ in batches(d, 16, seed=5, epoch=2)]
+        a = [x[:, 0].tolist() for x, _ in batches(d, 16, seed=5)]
+        b = [x[:, 0].tolist() for x, _ in batches(d, 16, seed=5)]
         assert a == b
 
-    def test_different_epochs_reshuffle(self):
+    def test_different_seeds_reshuffle(self):
+        # harness.run passes each epoch its own seed
         d = self.dataset(64)
-        a = [x[:, 0].tolist() for x, _ in batches(d, 64, seed=5, epoch=1)]
-        b = [x[:, 0].tolist() for x, _ in batches(d, 64, seed=5, epoch=2)]
+        a = [x[:, 0].tolist() for x, _ in batches(d, 64, seed=5)]
+        b = [x[:, 0].tolist() for x, _ in batches(d, 64, seed=6)]
         assert a != b
 
 

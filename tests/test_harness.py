@@ -13,11 +13,10 @@ from lifedrop import harness, nn
 from lifedrop.cli import main
 from lifedrop.data import Dataset, make_blobs
 from lifedrop.harness import (ARCH_PRESETS, BlobSpec, EpochMetrics, RunConfig,
-                              compare, config_from_manifest, evaluate, read_metrics,
+                              compare, config_from_manifest, derive_seed, evaluate, read_metrics,
                               resolve_architecture, run, write_manifest, write_metrics)
 from lifedrop.lattice import init_random, reactivate, step
 from lifedrop.regularizers import RegularizerConfig
-from lifedrop.seeding import derive_seed
 
 BLOBS = BlobSpec(per_class=60, classes=3, dim=8, separation=8.0)
 
@@ -264,8 +263,8 @@ class TestManifest:
 
     @pytest.mark.parametrize("field, value", [
         ("seed", np.int64(3)), ("rate", np.float64(0.2)), ("architecture", (np.int64(8),)),
-        ("snapshot_epochs", (np.int64(1),)),
-    ], ids=["seed", "rate", "architecture", "snapshot_epochs"])
+        ("snapshot_epochs", (np.int64(1),)), ("epochs", np.int64(2)), ("batch_size", np.int32(16)),
+    ], ids=["seed", "rate", "architecture", "snapshot_epochs", "epochs", "batch_size"])
     def test_numpy_scalars_written_as_plain_values(self, tmp_path, field, value):
         cfg = blob_config(tmp_path, **{field: value})
         path = tmp_path / "manifest.txt"
@@ -470,11 +469,21 @@ class TestRun:
         ({"learning_rate": math.nan}, "learning_rate"), ({"learning_rate": math.inf}, "learning_rate"),
         ({"min_delta": math.nan}, "min_delta"), ({"min_delta": math.inf}, "min_delta"),
         ({"snapshot_epochs": (0,)}, "snapshot_epochs"), ({"snapshot_epochs": (2, -1)}, "snapshot_epochs"),
+        ({"epochs": 2.5}, "epochs must be an integer"), ({"batch_size": 8.5}, "batch_size must be an integer"),
     ])
     def test_bad_config_rejected_when_built(self, tmp_path, kind, bad, message):
         with pytest.raises(ValueError, match=message):
             blob_config(tmp_path, reg_kind=kind, **bad)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"regularizer": "dynamic"}, "regularizer must be a RegularizerConfig"),
+        ({"blobs": "blobs"}, "blobs must be a BlobSpec or None"),
+    ], ids=["regularizer", "blobs"])
+    def test_nested_config_of_another_type_rejected_when_built(self, tmp_path, bad, message):
+        kwargs = dict(architecture=[8], regularizer=RegularizerConfig(kind="none"), output_dir=tmp_path / "run")
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**{**kwargs, **bad})
 
     @pytest.mark.parametrize("spec, message", [
         ({"per_class": 0}, "positive"), ({"classes": 8, "dim": 4}, "at least classes"),

@@ -3,11 +3,12 @@
 The reference writes its own dense forward, backward and SGD, summing in
 another order than lifedrop.nn, and its own monitor and evaluation. It
 reuses only parts with oracles of their own: lattice.step/reactivate, the
-gain functions, derive_seed and batches. So it checks how run wires them:
-the board is read before the epoch-end hook and fixed for the epoch, noise
+gain functions, derive_seed and batches, and keys every stream itself. So
+it checks how run wires them: each epoch shuffles by its own seed, the
+board is read before the epoch-end hook and fixed for the epoch, noise
 comes from one generator per (epoch, batch) that the layers draw from in
 order, evaluation is unmasked, and the hook runs monitor -> reactivate ->
-step with the reactivation seed of the board.
+step with a revival seed keyed on the board's generation.
 """
 
 import math
@@ -16,10 +17,9 @@ import numpy as np
 import pytest
 
 from lifedrop.data import batches, make_blobs
-from lifedrop.harness import RunConfig, run
+from lifedrop.harness import RunConfig, derive_seed, run
 from lifedrop.lattice import reactivate, step
 from lifedrop.regularizers import RegularizerConfig, alpha_affine, classical_gain, gaussian_gain
-from lifedrop.seeding import derive_seed
 
 WIDTHS = (6, 6, 6)
 EPOCHS = 4
@@ -55,7 +55,8 @@ def _reference(config, train, val):
     history, boards = [], []
     for epoch in range(1, config.epochs + 1):
         boards.append(board)
-        for batch_i, (x, labels) in enumerate(batches(train, config.batch_size, derive_seed(seed, "batches"), epoch)):
+        shuffle = derive_seed(derive_seed(seed, "batches"), "shuffle", epoch)  # a fresh order per epoch
+        for batch_i, (x, labels) in enumerate(batches(train, config.batch_size, shuffle)):
             scales = []
             noise = np.random.default_rng(derive_seed(reg.seed, "noise", epoch, batch_i))  # the layers draw in order
             for l, width in enumerate(WIDTHS):

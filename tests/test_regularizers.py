@@ -7,12 +7,11 @@ import pytest
 
 from lifedrop import harness, nn
 from lifedrop.data import batches, make_blobs
-from lifedrop.harness import BlobSpec, RunConfig, evaluate
+from lifedrop.harness import BlobSpec, RunConfig, derive_seed, evaluate
 from lifedrop.lattice import init_random, reactivate, step
 from lifedrop.regularizers import (ALPHA_PRIME, OverfitMonitor, RegularizerConfig, alpha_affine,
                                    classical_gain, gaussian_gain, monitor_update,
                                    on_epoch_end_dynamic)
-from lifedrop.seeding import derive_seed
 
 
 class TestRegularizerConfig:
@@ -178,7 +177,7 @@ class TestDynamicMask:
 
         network = nn.init_network(config.widths, 8, 3, seed=derive_seed(config.seed, "init"))
         initial = [(w.copy(), b.copy()) for w, b in network]
-        for x, y in batches(train, 16, derive_seed(config.seed, "batches"), 1):
+        for x, y in batches(train, 16, derive_seed(derive_seed(config.seed, "batches"), "shuffle", 1)):
             _, trace = nn.forward(network, x, scales=self.scales(cells))
             nn.sgd_step(network, nn.backward(network, trace, y), config.learning_rate)
         for (w, b), (w_run, b_run) in zip(network, evaluated[0]):
@@ -296,13 +295,23 @@ class TestEpochEnd:
         out, _, triggered, revived = on_epoch_end_dynamic(lat, 0, monitor, 0.9, self.config())
         assert triggered and revived == 64
 
-    def test_generation_keys_the_reactivation_seed(self):
+    def test_seed_draws_the_revival(self):
         lat = np.zeros((10, 64), dtype=np.uint8)
         monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
         out, _, _, _ = on_epoch_end_dynamic(lat, 3, monitor, 0.9, self.config())
-        expected = step(reactivate(lat, 64, derive_seed(5, "reactivate", 3)))
-        assert np.array_equal(out, expected)
-        assert not np.array_equal(out, step(reactivate(lat, 64, derive_seed(5, "reactivate", 4))))
+        assert np.array_equal(out, step(reactivate(lat, 64, 3)))
+        assert not np.array_equal(out, step(reactivate(lat, 64, 4)))
+
+    def test_generation_keys_the_reactivation_seed(self, tmp_path, monkeypatch):
+        # run hands the hook of epoch e a seed keyed on the regularizer seed and the board's generation, e - 1
+        seeds, hook = [], harness.on_epoch_end_dynamic
+        monkeypatch.setattr(harness, "on_epoch_end_dynamic",
+                            lambda board, seed, *rest: seeds.append(seed) or hook(board, seed, *rest))
+        config = RunConfig(architecture=[8], regularizer=self.config(seed=9), output_dir=tmp_path, epochs=3,
+                           batch_size=64, learning_rate=0.2, seed=5, snapshot_epochs=(),
+                           blobs=BlobSpec(per_class=20, classes=3, dim=8))
+        harness.run(config)
+        assert seeds == [derive_seed(9, "reactivate", generation) for generation in range(3)]
 
     def test_trigger_on_saturated_lattice_revives_nothing(self):
         lat = np.ones((4, 4), dtype=np.uint8)
