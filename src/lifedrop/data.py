@@ -14,6 +14,7 @@ and harness derives every seed.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,8 +141,12 @@ class BlobSpec:
     separation: float = 10.0
 
     def __post_init__(self):
-        if self.per_class < 1 or self.classes < 1 or self.dim < 1:
-            raise ValueError("per_class, classes, and dim must be positive")
+        for name in ("per_class", "classes", "dim"):  # numpy integers pass, floats do not
+            try:
+                if operator.index(getattr(self, name)) < 1:
+                    raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not 0 <= self.separation < np.inf:  # also false for NaN
             raise ValueError(f"separation must be finite and non-negative, got {self.separation}")
         if self.dim < self.classes:

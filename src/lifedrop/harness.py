@@ -22,8 +22,8 @@ import numpy as np
 from lifedrop import nn
 from lifedrop.data import BlobSpec, Dataset, batches, load_cifar10, make_blobs
 from lifedrop.lattice import init_random, write_pbm
-from lifedrop.regularizers import (OverfitMonitor, RegularizerConfig, alpha_affine, classical_gain,
-                                   gaussian_gain, on_epoch_end_dynamic)
+from lifedrop.regularizers import (RegularizerConfig, alpha_affine, classical_gain, gaussian_gain,
+                                   on_epoch_end_dynamic)
 
 ARCH_PRESETS = {
     "arch1": (512, 512, 512),
@@ -60,8 +60,8 @@ class RunConfig:
     learning_rate: float = 0.01
     seed: int = 0
     snapshot_epochs: tuple[int, ...] = (1, 10, 20)
-    patience: int = OverfitMonitor.patience
-    min_delta: float = OverfitMonitor.min_delta
+    patience: int = 5  # stalled epochs that fire a reactivation (dynamic only)
+    min_delta: float = 1e-3  # how far validation loss must fall to count as an improvement
     data_dir: str | Path | None = None
     blobs: BlobSpec | None = None
     widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -71,7 +71,7 @@ class RunConfig:
             raise ValueError(f"regularizer must be a RegularizerConfig, got {self.regularizer!r}")
         if self.blobs is not None and not isinstance(self.blobs, BlobSpec):
             raise ValueError(f"blobs must be a BlobSpec or None, got {self.blobs!r}")
-        for name in ("epochs", "batch_size"):  # numpy integers pass, floats do not
+        for name in ("epochs", "batch_size", "patience", "seed"):  # numpy integers pass, floats do not
             try:
                 operator.index(getattr(self, name))
             except TypeError:
@@ -81,14 +81,20 @@ class RunConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if any(e < 1 for e in self.snapshot_epochs):
-            raise ValueError(f"snapshot_epochs must be at least 1, got {self.snapshot_epochs}")
+        try:
+            if any(operator.index(e) < 1 for e in self.snapshot_epochs):
+                raise ValueError(f"snapshot_epochs must be at least 1, got {self.snapshot_epochs}")
+        except TypeError:
+            raise ValueError(f"snapshot_epochs must be integers, got {self.snapshot_epochs!r}") from None
+        if self.patience < 1:
+            raise ValueError(f"patience must be at least 1, got {self.patience}")
+        if not 0 <= self.min_delta < np.inf:  # also false for NaN
+            raise ValueError(f"min_delta must be finite and non-negative, got {self.min_delta}")
         if not 0 < self.learning_rate < np.inf:  # also false for NaN
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.regularizer.kind == "dynamic" and len(set(self.widths)) != 1:
             raise ValueError("dynamic regularizer needs uniform hidden widths "
                              f"(the lattice is rectangular), got {self.widths}")
-        OverfitMonitor(patience=self.patience, min_delta=self.min_delta)  # its rules, for every kind
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,10 @@ def resolve_architecture(arch) -> tuple[int, ...]:
             raise ValueError(f"unknown architecture preset {arch!r} "
                              f"(expected one of {sorted(ARCH_PRESETS)} or custom:<w1,w2,...>)")
     else:
-        widths = tuple(int(w) for w in arch)
+        try:  # numpy integers pass, floats do not
+            widths = tuple(operator.index(w) for w in arch)
+        except TypeError:
+            raise ValueError(f"architecture widths must be integers, got {arch!r}") from None
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"layer widths must be positive, got {widths}")
     return widths
@@ -210,7 +219,9 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     Each epoch iterates seeded mini-batches, then measures loss and
     accuracy over the full train and validation sets in evaluation mode,
     and finally runs the dynamic epoch-end hook (monitor -> reactivate ->
-    board step). Baselines draw fresh (gain, offset) noise per batch.
+    board step), which carries the monitor as (best validation loss,
+    epochs since it improved) and reads patience and min_delta from the
+    RunConfig that checks them. Baselines draw fresh (gain, offset) noise per batch.
     The dynamic board, a (hidden layers, width) uint8 array, is
     generation e - 1 in epoch e and fixed for the epoch, so the epoch
     moves each layer's kept units to the front of (W, b), trains the
@@ -239,7 +250,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     if reg.kind == "dynamic":
         board = init_random(len(config.widths), config.widths[0], reg.lattice_density,
                             seed=derive_seed(config.seed, "lattice"))
-        monitor = OverfitMonitor(patience=config.patience, min_delta=config.min_delta)
+        monitor = (np.inf, 0)  # (best validation loss, epochs since it improved)
 
     batch_seed = derive_seed(config.seed, "batches")
     history: list[EpochMetrics] = []
@@ -273,7 +284,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
         reactivated = 0
         if board is not None and finite:
             revival_seed = derive_seed(reg.seed, "reactivate", epoch - 1)  # keyed on the board's generation
-            board, monitor, _, reactivated = on_epoch_end_dynamic(board, revival_seed, monitor, val_loss, reg)
+            board, monitor, _, reactivated = on_epoch_end_dynamic(board, revival_seed, monitor, val_loss, config)
         history.append(EpochMetrics(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
                                     train_acc=train_acc, val_acc=val_acc,
                                     gap=train_acc - val_acc, live_mask_fraction=live_frac,

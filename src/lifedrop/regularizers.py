@@ -1,4 +1,4 @@
-"""The four dropout strategies behind one config, plus the stagnation monitor.
+"""The four dropout strategies behind one config, plus the board's epoch-end hook.
 
 Classical, Gaussian and alpha dropout each draw fresh per-batch noise as
 the (gain, offset) pair that nn.forward applies to the pre-activations.
@@ -6,8 +6,10 @@ The dynamic variant drops the units that are alive on the Game-of-Life
 lattice, which advances one generation per epoch; harness.run trains
 each epoch without them, the same as a gain of 1 - mask on those
 pre-activations. So the comparison between strategies is
-site-controlled; evaluation applies none of them. Nothing here derives a
-seed: harness keys the Generator each draw is handed, once per batch,
+site-controlled; evaluation applies none of them. The hook carries the
+patience monitor as the pair (best validation loss, epochs since it
+improved); RunConfig checks patience and min_delta. Nothing here derives
+a seed: harness keys the Generator each draw is handed, once per batch,
 and the seed of the epoch-end hook's revival draw. The draws trust their
 rate to lie in [0, 1), the range RegularizerConfig enforces.
 """
@@ -15,7 +17,8 @@ rate to lie in [0, 1), the range RegularizerConfig enforces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,37 +48,10 @@ class RegularizerConfig:
             raise ValueError(f"lattice_density must lie in [0, 1], got {self.lattice_density}")
         if not 0.0 < self.reactivation_fraction <= 1.0:
             raise ValueError(f"reactivation_fraction must lie in (0, 1], got {self.reactivation_fraction}")
-
-
-@dataclass(frozen=True)
-class OverfitMonitor:
-    """Patience counter over validation loss; fires when progress stalls."""
-
-    patience: int = 5
-    min_delta: float = 1e-3
-    best_val_loss: float = math.inf
-    epochs_since_improvement: int = 0
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError(f"patience must be at least 1, got {self.patience}")
-        if not 0 <= self.min_delta < math.inf:  # also false for NaN
-            raise ValueError(f"min_delta must be finite and non-negative, got {self.min_delta}")
-
-
-def monitor_update(monitor: OverfitMonitor, val_loss: float) -> tuple[OverfitMonitor, bool]:
-    """Feed one validation loss.
-
-    Improvement by more than min_delta resets the counter; otherwise it
-    grows, and reaching patience triggers (and re-arms the counter).
-    The loss is finite: harness.run stops a diverged run before its hook.
-    """
-    if val_loss < monitor.best_val_loss - monitor.min_delta:
-        return replace(monitor, best_val_loss=val_loss, epochs_since_improvement=0), False
-    stalled = monitor.epochs_since_improvement + 1
-    if stalled >= monitor.patience:
-        return replace(monitor, epochs_since_improvement=0), True
-    return replace(monitor, epochs_since_improvement=stalled), False
+        try:  # numpy integers pass, floats do not
+            operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
 
 
 def classical_gain(shape, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, None]:
@@ -104,23 +80,30 @@ def alpha_affine(shape, rate: float, rng: np.random.Generator) -> tuple[np.ndarr
     return a * keep, b + (a * ALPHA_PRIME) * ~keep
 
 
-def on_epoch_end_dynamic(board: np.ndarray, seed: int, monitor: OverfitMonitor, val_loss: float,
-                         config: RegularizerConfig):
+def on_epoch_end_dynamic(board: np.ndarray, seed: int, monitor: tuple[float, int], val_loss: float, config):
     """End-of-epoch hook for the dynamic regularizer, given the board and the seed of its revival draw.
 
-    Order is fixed: update the monitor; if it fired, revive
-    ceil(reactivation_fraction * dead_count) cells, drawn from `seed`, so
-    the fresh cells take part in the next generation; then advance the
-    board one step. harness.run keys the seed on the board's generation;
-    the caller's board is left unchanged.
+    `monitor` is (best validation loss, epochs since it improved), and
+    `config` the run's RunConfig. A loss below best - min_delta improves;
+    any other stalls, and `patience` stalls fire and reset the count. If
+    it fired, revive ceil(reactivation_fraction * dead_count) cells, drawn
+    from `seed` (harness.run keys it on the board's generation), so they
+    take part in the next generation; then advance the board one step.
+    The caller's board is left unchanged.
 
     Returns (next_board, next_monitor, triggered, cells_revived).
     """
-    next_monitor, triggered = monitor_update(monitor, val_loss)
+    best, stalls = monitor
+    if val_loss < best - config.min_delta:
+        best, stalls = val_loss, 0
+    else:
+        stalls += 1
+    triggered = stalls >= config.patience
     revived = 0
     if triggered:
+        stalls = 0
         before = int(board.sum())
-        quota = math.ceil(config.reactivation_fraction * (board.size - before))
+        quota = math.ceil(config.regularizer.reactivation_fraction * (board.size - before))
         board = reactivate(board, quota, seed)
         revived = int(board.sum()) - before
-    return step(board), next_monitor, triggered, revived
+    return step(board), (best, stalls), triggered, revived

@@ -1,7 +1,7 @@
 """One run of the acceptance training comparison, for a spawned worker process.
 
 test_acceptance.py's training_comparison fixture submits `train` for
-each of its twelve configurations to a pool of spawned worker processes.
+each of its fifteen configurations to a pool of spawned worker processes.
 Spawn imports this module by name in each fresh worker, so the BLAS
 thread count is pinned to 1 before numpy loads, as in tests/refruns.py:
 the thread count moves the last bits of a matmul and from there a whole

@@ -75,6 +75,24 @@ MUTANTS = (
      "if self.blobs is not None and not isinstance(self.blobs, BlobSpec):", "if False:"),
     ("a float epoch count or batch size truncated to an integer", "harness.py",
      "operator.index(getattr(self, name))", "int(getattr(self, name))"),
+    ("a loss equal to best - min_delta counted as an improvement", "regularizers.py",
+     "val_loss < best - config.min_delta", "val_loss <= best - config.min_delta"),
+    ("the stall count kept when the monitor fires", "regularizers.py",
+     "    if triggered:\n        stalls = 0\n", "    if triggered:\n"),
+    ("a patience below 1 accepted when built", "harness.py", "if self.patience < 1:", "if False:"),
+    ("a negative or non-finite min_delta accepted when built", "harness.py",
+     "if not 0 <= self.min_delta < np.inf:", "if False:"),
+    ("a float patience accepted when built", "harness.py",
+     '("epochs", "batch_size", "patience", "seed")', '("epochs", "batch_size", "seed")'),
+    ("a float run seed accepted when built", "harness.py",
+     '("epochs", "batch_size", "patience", "seed")', '("epochs", "batch_size", "patience")'),
+    ("a float snapshot epoch accepted when built", "harness.py", "operator.index(e) < 1", "e < 1"),
+    ("float architecture widths truncated to integers", "harness.py",
+     "operator.index(w) for w in arch", "int(w) for w in arch"),
+    ("a float regularizer seed accepted when built", "regularizers.py",
+     "operator.index(self.seed)", "int(self.seed)"),
+    ("a float blob count or dimension accepted when built", "data.py",
+     "operator.index(getattr(self, name))", "int(getattr(self, name))"),
 )
 
 

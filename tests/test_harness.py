@@ -27,7 +27,8 @@ def blob_config(tmp_path, reg_kind="none", **kw):
     defaults = dict(architecture=[8], output_dir=tmp_path / "run", epochs=3, batch_size=64,
                     learning_rate=0.2, seed=5, snapshot_epochs=(1, 2), blobs=BLOBS)
     defaults.update(kw)
-    reg = RegularizerConfig(kind=reg_kind, seed=defaults["seed"], **reg_fields)
+    # int(): a float run seed is for RunConfig to refuse, not the regularizer
+    reg = RegularizerConfig(kind=reg_kind, seed=int(defaults["seed"]), **reg_fields)
     return RunConfig(regularizer=reg, **defaults)
 
 
@@ -55,6 +56,11 @@ class TestResolveArchitecture:
     def test_non_positive_width_rejected(self):
         with pytest.raises(ValueError):
             resolve_architecture([8, 0])
+
+    @pytest.mark.parametrize("widths", [(8.7, 8.2), [8, 8.0], 8])
+    def test_non_integer_widths_rejected(self, widths):
+        with pytest.raises(ValueError, match="architecture widths must be integers"):
+            resolve_architecture(widths)
 
 
 class TestEvaluate:
@@ -264,7 +270,8 @@ class TestManifest:
     @pytest.mark.parametrize("field, value", [
         ("seed", np.int64(3)), ("rate", np.float64(0.2)), ("architecture", (np.int64(8),)),
         ("snapshot_epochs", (np.int64(1),)), ("epochs", np.int64(2)), ("batch_size", np.int32(16)),
-    ], ids=["seed", "rate", "architecture", "snapshot_epochs", "epochs", "batch_size"])
+        ("patience", np.int64(2)),
+    ], ids=["seed", "rate", "architecture", "snapshot_epochs", "epochs", "batch_size", "patience"])
     def test_numpy_scalars_written_as_plain_values(self, tmp_path, field, value):
         cfg = blob_config(tmp_path, **{field: value})
         path = tmp_path / "manifest.txt"
@@ -470,6 +477,9 @@ class TestRun:
         ({"min_delta": math.nan}, "min_delta"), ({"min_delta": math.inf}, "min_delta"),
         ({"snapshot_epochs": (0,)}, "snapshot_epochs"), ({"snapshot_epochs": (2, -1)}, "snapshot_epochs"),
         ({"epochs": 2.5}, "epochs must be an integer"), ({"batch_size": 8.5}, "batch_size must be an integer"),
+        ({"patience": 2.5}, "patience must be an integer"), ({"seed": 2.5}, "seed must be an integer"),
+        ({"snapshot_epochs": (1.5,)}, "snapshot_epochs must be integers"),
+        ({"architecture": (8.7, 8.2)}, "architecture widths must be integers"),
     ])
     def test_bad_config_rejected_when_built(self, tmp_path, kind, bad, message):
         with pytest.raises(ValueError, match=message):
@@ -488,6 +498,8 @@ class TestRun:
     @pytest.mark.parametrize("spec, message", [
         ({"per_class": 0}, "positive"), ({"classes": 8, "dim": 4}, "at least classes"),
         ({"separation": -1.0}, "separation"), ({"separation": math.nan}, "separation"),
+        ({"per_class": 10.5}, "per_class must be an integer"), ({"classes": 2.0}, "classes must be an integer"),
+        ({"dim": 8.0}, "dim must be an integer"),
     ])
     def test_bad_blob_spec_rejected_when_built(self, tmp_path, spec, message):
         with pytest.raises(ValueError, match=message):

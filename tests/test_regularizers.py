@@ -1,4 +1,4 @@
-"""Dropout-strategy and stagnation-monitor tests."""
+"""Dropout-strategy and epoch-end-hook tests, the patience monitor included."""
 
 import math
 
@@ -9,9 +9,16 @@ from lifedrop import harness, nn
 from lifedrop.data import batches, make_blobs
 from lifedrop.harness import BlobSpec, RunConfig, derive_seed, evaluate
 from lifedrop.lattice import init_random, reactivate, step
-from lifedrop.regularizers import (ALPHA_PRIME, OverfitMonitor, RegularizerConfig, alpha_affine,
-                                   classical_gain, gaussian_gain, monitor_update,
-                                   on_epoch_end_dynamic)
+from lifedrop.regularizers import (ALPHA_PRIME, RegularizerConfig, alpha_affine, classical_gain,
+                                   gaussian_gain, on_epoch_end_dynamic)
+
+
+def hook_config(patience, min_delta, **reg):
+    """A dynamic RunConfig for the epoch-end hook, which reads patience, min_delta and the regularizer."""
+    reg = RegularizerConfig(**{"kind": "dynamic", "lattice_density": 0.5, "reactivation_fraction": 0.1,
+                               "seed": 5, **reg})
+    return RunConfig(architecture=[8], regularizer=reg, output_dir="unused", patience=patience,
+                     min_delta=min_delta)
 
 
 class TestRegularizerConfig:
@@ -36,61 +43,53 @@ class TestRegularizerConfig:
         with pytest.raises(ValueError):
             RegularizerConfig(kind="none", reactivation_fraction=0.0)
 
+    @pytest.mark.parametrize("kind", ["none", "dynamic"])
+    def test_seed_must_be_an_integer(self, kind):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RegularizerConfig(kind=kind, seed=2.5)
+        assert RegularizerConfig(kind=kind, seed=np.int64(3)).seed == 3  # numpy integers pass
+
 
 class TestMonitor:
+    """The patience monitor as the hook carries it: (best validation loss, epochs since it improved)."""
+
+    def feed(self, losses, patience, min_delta=0.0):
+        """The hook's trigger per loss, and the final monitor, from (inf, 0) on a 4x8 board."""
+        config = hook_config(patience=patience, min_delta=min_delta)
+        board, monitor, fired = init_random(4, 8, 0.4, seed=1), (math.inf, 0), []
+        for loss in losses:
+            board, monitor, triggered, _ = on_epoch_end_dynamic(board, 0, monitor, loss, config)
+            fired.append(triggered)
+        return fired, monitor
+
     def test_defaults_and_validation(self):
-        m = OverfitMonitor()
-        assert m.patience == 5 and m.min_delta == 1e-3
-        assert m.best_val_loss == math.inf and m.epochs_since_improvement == 0
-        with pytest.raises(ValueError):
-            OverfitMonitor(patience=0)
-        with pytest.raises(ValueError):
-            OverfitMonitor(min_delta=-1e-9)
+        # the defaults live on RunConfig; its rejections are in test_harness's bad-config table
+        assert RunConfig.patience == 5 and RunConfig.min_delta == 1e-3
 
     def test_never_triggers_on_monotone_decrease(self):
-        m = OverfitMonitor(patience=2, min_delta=0.0)
-        for loss in [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]:
-            m, triggered = monitor_update(m, loss)
-            assert not triggered
-        assert m.best_val_loss == 0.5
+        fired, monitor = self.feed([1.0, 0.9, 0.8, 0.7, 0.6, 0.5], patience=2)
+        assert not any(fired)
+        assert monitor == (0.5, 0)
 
     def test_flat_losses_trigger_on_fourth_update(self):
-        m = OverfitMonitor(patience=3, min_delta=0.0)
-        fired = []
-        for loss in [1.0, 1.0, 1.0, 1.0]:
-            m, triggered = monitor_update(m, loss)
-            fired.append(triggered)
+        fired, _ = self.feed([1.0, 1.0, 1.0, 1.0], patience=3)
         assert fired == [False, False, False, True]
 
     def test_reset_then_stall_triggers_on_fifth_update(self):
-        m = OverfitMonitor(patience=3, min_delta=0.0)
-        fired = []
-        for loss in [1.0, 0.5, 1.0, 1.0, 1.0]:
-            m, triggered = monitor_update(m, loss)
-            fired.append(triggered)
+        fired, _ = self.feed([1.0, 0.5, 1.0, 1.0, 1.0], patience=3)
         assert fired == [False, False, False, False, True]
 
     def test_rearms_after_trigger(self):
-        m = OverfitMonitor(patience=2, min_delta=0.0)
-        fired = []
-        for loss in [1.0, 1.0, 1.0, 1.0, 1.0]:
-            m, triggered = monitor_update(m, loss)
-            fired.append(triggered)
+        fired, monitor = self.feed([1.0, 1.0, 1.0, 1.0, 1.0], patience=2)
         # first update improves on +inf; then the counter fires every
-        # `patience` stagnant epochs
+        # `patience` stagnant epochs, keeping the best loss
         assert fired == [False, False, True, False, True]
+        assert monitor == (1.0, 0)
 
     def test_improvement_must_beat_min_delta(self):
-        m = OverfitMonitor(patience=1, min_delta=0.1)
-        m, triggered = monitor_update(m, 1.0)
-        assert not triggered
-        m, triggered = monitor_update(m, 0.95)  # improves, but not by > 0.1
-        assert triggered
-
-    def test_monitor_value_not_mutated(self):
-        m = OverfitMonitor(patience=2)
-        monitor_update(m, 1.0)
-        assert m.best_val_loss == math.inf
+        fired, monitor = self.feed([1.0, 0.95], patience=1, min_delta=0.1)  # 0.95 improves, but not by > 0.1
+        assert fired == [False, True]
+        assert monitor == (1.0, 0)
 
 
 class TestDynamicMask:
@@ -276,28 +275,25 @@ class TestAlpha:
 
 
 class TestEpochEnd:
-    def config(self, **kw):
-        defaults = dict(kind="dynamic", lattice_density=0.5, reactivation_fraction=0.1, seed=5)
-        defaults.update(kw)
-        return RegularizerConfig(**defaults)
+    def config(self, patience=1, min_delta=0.0, **reg):
+        return hook_config(patience=patience, min_delta=min_delta, **reg)
 
     def test_no_trigger_is_a_plain_step(self):
         lat = init_random(4, 8, 0.4, seed=1)
-        monitor = OverfitMonitor(patience=3)
-        out, monitor2, triggered, revived = on_epoch_end_dynamic(lat, 0, monitor, 1.0, self.config())
+        out, _, triggered, revived = on_epoch_end_dynamic(lat, 0, (math.inf, 0), 1.0, self.config(patience=3))
         assert not triggered and revived == 0
         assert np.array_equal(out, step(lat))
 
     def test_trigger_on_extinct_lattice_revives_quota(self):
         # ceil(0.1 * 640) = 64 cells come back, then one generation runs
         lat = np.zeros((10, 64), dtype=np.uint8)
-        monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
+        monitor = (0.5, 0)
         out, _, triggered, revived = on_epoch_end_dynamic(lat, 0, monitor, 0.9, self.config())
         assert triggered and revived == 64
 
     def test_seed_draws_the_revival(self):
         lat = np.zeros((10, 64), dtype=np.uint8)
-        monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
+        monitor = (0.5, 0)
         out, _, _, _ = on_epoch_end_dynamic(lat, 3, monitor, 0.9, self.config())
         assert np.array_equal(out, step(reactivate(lat, 64, 3)))
         assert not np.array_equal(out, step(reactivate(lat, 64, 4)))
@@ -307,7 +303,8 @@ class TestEpochEnd:
         seeds, hook = [], harness.on_epoch_end_dynamic
         monkeypatch.setattr(harness, "on_epoch_end_dynamic",
                             lambda board, seed, *rest: seeds.append(seed) or hook(board, seed, *rest))
-        config = RunConfig(architecture=[8], regularizer=self.config(seed=9), output_dir=tmp_path, epochs=3,
+        reg = RegularizerConfig(kind="dynamic", lattice_density=0.5, reactivation_fraction=0.1, seed=9)
+        config = RunConfig(architecture=[8], regularizer=reg, output_dir=tmp_path, epochs=3,
                            batch_size=64, learning_rate=0.2, seed=5, snapshot_epochs=(),
                            blobs=BlobSpec(per_class=20, classes=3, dim=8))
         harness.run(config)
@@ -315,7 +312,7 @@ class TestEpochEnd:
 
     def test_trigger_on_saturated_lattice_revives_nothing(self):
         lat = np.ones((4, 4), dtype=np.uint8)
-        monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
+        monitor = (0.5, 0)
         out, _, triggered, revived = on_epoch_end_dynamic(lat, 0, monitor, 0.9, self.config())
         assert triggered and revived == 0
         assert np.array_equal(out, step(lat))
@@ -324,7 +321,7 @@ class TestEpochEnd:
         # reactivation happens before the step: the step sees the revived
         # cells, so the outcome differs from stepping the untouched lattice
         lat = np.zeros((10, 64), dtype=np.uint8)
-        monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.5)
+        monitor = (0.5, 0)
         out, _, _, _ = on_epoch_end_dynamic(lat, 0, monitor, 0.9,
                                             self.config(reactivation_fraction=1.0))
         assert not np.array_equal(out, step(lat))
@@ -333,7 +330,7 @@ class TestEpochEnd:
     def test_board_not_mutated(self, best_val_loss):
         lat = init_random(6, 10, 0.5, seed=2)
         before = lat.copy()
-        monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=best_val_loss)
+        monitor = (best_val_loss, 0)
         out, _, triggered, _ = on_epoch_end_dynamic(lat, 4, monitor, 0.9, self.config())
         assert triggered == (best_val_loss < 0.9)
         assert np.array_equal(lat, before)
@@ -341,14 +338,14 @@ class TestEpochEnd:
 
     def test_deterministic(self):
         lat = init_random(6, 10, 0.5, seed=2)
-        monitor = OverfitMonitor(patience=1, min_delta=0.0, best_val_loss=0.1)
+        monitor = (0.1, 0)
         a = on_epoch_end_dynamic(lat, 2, monitor, 0.9, self.config())
         b = on_epoch_end_dynamic(lat, 2, monitor, 0.9, self.config())
         assert np.array_equal(a[0], b[0]) and a[1] == b[1] and a[2:] == b[2:]
 
-    def test_monitor_threading_matches_monitor_update(self):
+    def test_monitor_pair_is_threaded(self):
         lat = init_random(4, 6, 0.5, seed=3)
-        monitor = OverfitMonitor(patience=2, min_delta=0.0)
-        _, out_monitor, triggered, _ = on_epoch_end_dynamic(lat, 0, monitor, 1.3, self.config())
-        expected_monitor, expected_trigger = monitor_update(monitor, 1.3)
-        assert out_monitor == expected_monitor and triggered == expected_trigger
+        _, monitor, triggered, _ = on_epoch_end_dynamic(lat, 0, (math.inf, 0), 1.3, self.config(patience=2))
+        assert monitor == (1.3, 0) and not triggered
+        _, monitor, triggered, _ = on_epoch_end_dynamic(lat, 0, monitor, 1.3, self.config(patience=2))
+        assert monitor == (1.3, 1) and not triggered
