@@ -6,13 +6,12 @@ reactivation of dead cells; classical, Gaussian, and alpha dropout are
 provided as fixed baselines.
 """
 
-from lifedrop.data import BlobSpec, Dataset, load_cifar10, make_blobs
-from lifedrop.harness import ARCH_PRESETS, EpochMetrics, RunConfig, compare, run
-from lifedrop.regularizers import RegularizerConfig
+from lifedrop.data import Dataset, load_cifar10
+from lifedrop.harness import ARCH_PRESETS, BlobSpec, EpochMetrics, RegularizerConfig, RunConfig, compare, run
 
 __all__ = [
     "ARCH_PRESETS", "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare",
-    "load_cifar10", "make_blobs", "run",
+    "load_cifar10", "run",
 ]
 
 __version__ = "0.1.0"

@@ -7,8 +7,7 @@ import sys
 
 import numpy as np
 
-from lifedrop.harness import BlobSpec, RunConfig, compare, run
-from lifedrop.regularizers import KINDS, RegularizerConfig
+from lifedrop.harness import KINDS, BlobSpec, RegularizerConfig, RunConfig, compare, run
 
 
 def build_parser() -> argparse.ArgumentParser:

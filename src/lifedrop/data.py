@@ -1,4 +1,4 @@
-"""Dataset ingestion and batching.
+"""Dataset ingestion, synthetic blobs and batching; harness holds the settings.
 
 Reads the canonical CIFAR-10 binary distribution (six files of 10,000
 records; each record is 1 label byte followed by 3072 pixel bytes laid
@@ -7,9 +7,9 @@ are read straight into one (records, 3073) uint8 buffer, and the split's
 features are the pixel columns of that buffer, a strided view of the raw
 bytes. `Dataset.rows` scales each batch or evaluation chunk into [0, 1]
 by dividing by 255 as it is read, so only compute is float64. No other
-preprocessing. A synthetic Gaussian-blob generator stands in for fast,
-offline tests. make_blobs and batches draw from the seed they are given,
-and harness derives every seed.
+preprocessing. Synthetic Gaussian blobs (make_blobs, which trusts what
+harness.BlobSpec checks) stand in for fast, offline tests. make_blobs and
+batches draw from the seed they are given, and harness derives every seed.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ TEST_FILE = "test_batch.bin"
 CIFAR_CLASSES = 10
 
 
-class CifarFormatError(ValueError):
-    """A CIFAR-10 batch file is missing or malformed."""
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Labelled feature rows.
@@ -43,7 +39,7 @@ class Dataset:
     176 MiB of bytes rather than 1.4 GiB of float64. Any other dtype is
     coerced to float64, without a copy when it already is float64. Read
     features through `rows`, which returns float64. Labels must have an
-    integer dtype (not bool) and are stored as int64.
+    integer dtype (not bool) and are stored as int64; class_count as an int.
     """
 
     features: np.ndarray  # (n, dim) uint8 bytes or float64; read through rows()
@@ -65,12 +61,17 @@ class Dataset:
             raise ValueError(f"{features.shape[0]} feature rows but {labels.shape} labels")
         if features.shape[0] == 0:
             raise ValueError(f"dataset {self.name!r} has no rows; training and evaluation need rows")
-        if self.class_count < 1:
+        try:  # numpy integers pass, floats and strings do not
+            class_count = operator.index(self.class_count)
+        except TypeError:
+            raise ValueError(f"class_count must be an integer, got {self.class_count!r}") from None
+        if class_count < 1:
             raise ValueError("class_count must be positive")
-        if labels.min() < 0 or labels.max() >= self.class_count:
-            raise ValueError(f"labels must lie in [0, {self.class_count})")
+        if labels.min() < 0 or labels.max() >= class_count:
+            raise ValueError(f"labels must lie in [0, {class_count})")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "class_count", class_count)
 
     @property
     def n(self) -> int:
@@ -92,20 +93,20 @@ class Dataset:
 def _read_batch_file(path: Path, records: np.ndarray) -> None:
     """Check one batch file while reading it into `records`, a C-contiguous (10000, 3073) uint8 block.
 
-    An offset in an error counts from the start of the file.
+    A missing or malformed file raises ValueError; an offset in it counts from the start of the file.
     """
     if not path.is_file():
-        raise CifarFormatError(f"{path}: missing CIFAR-10 batch file")
+        raise ValueError(f"{path}: missing CIFAR-10 batch file")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size == FILE_BYTES:
             size = fh.readinto(records)
     if size != FILE_BYTES:
-        raise CifarFormatError(f"{path}: expected {FILE_BYTES} bytes, found {size}")
+        raise ValueError(f"{path}: expected {FILE_BYTES} bytes, found {size}")
     bad = np.flatnonzero(records[:, 0] > 9)
     if bad.size:
         record = int(bad[0])
-        raise CifarFormatError(f"{path}: label byte {records[record, 0]} > 9 at offset {record * RECORD_BYTES}")
+        raise ValueError(f"{path}: label byte {records[record, 0]} > 9 at offset {record * RECORD_BYTES}")
 
 
 def _read_split(base: Path, names, split: str) -> Dataset:
@@ -131,36 +132,13 @@ def load_cifar10(directory) -> tuple[Dataset, Dataset]:
     return _read_split(base, TRAIN_FILES, "cifar10-train"), _read_split(base, (TEST_FILE,), "cifar10-validation")
 
 
-@dataclass(frozen=True)
-class BlobSpec:
-    """Parameters for the synthetic-blob data source (see make_blobs), checked when built."""
-
-    per_class: int = 500
-    classes: int = 4
-    dim: int = 32
-    separation: float = 10.0
-
-    def __post_init__(self):
-        for name in ("per_class", "classes", "dim"):  # numpy integers pass, floats do not
-            try:
-                if operator.index(getattr(self, name)) < 1:
-                    raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if not 0 <= self.separation < np.inf:  # also false for NaN
-            raise ValueError(f"separation must be finite and non-negative, got {self.separation}")
-        if self.dim < self.classes:
-            raise ValueError(f"dim ({self.dim}) must be at least classes ({self.classes}) for axis-aligned means")
-
-
 def make_blobs(per_class: int, classes: int, dim: int, separation: float, seed: int) -> Dataset:
     """Axis-aligned Gaussian clusters rescaled into [0, 1].
 
     Class c is centred `separation` along coordinate axis c with unit
     within-class variance, so `separation` is the between-class distance
-    in standard deviations. Rows are shuffled; everything is seeded.
+    in standard deviations. Rows are shuffled and seeded; BlobSpec checks the arguments.
     """
-    BlobSpec(per_class, classes, dim, separation)  # its checks
     rng = np.random.default_rng(seed)
     means = np.zeros((classes, dim))
     means[np.arange(classes), np.arange(classes)] = separation

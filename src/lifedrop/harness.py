@@ -1,16 +1,19 @@
-"""Experiment driver.
+"""Every setting, and the experiment driver.
 
-Wires data, network, and regularizer into the training loop, records
-per-epoch metrics (losses, accuracies, generalization gap, live-mask
-fraction, reactivated cells), writes lattice snapshots and a rerunnable
-manifest, and summarizes finished runs. A run is a deterministic
-function of its config: identical configs produce byte-identical
-metrics files and snapshots.
+RegularizerConfig, BlobSpec and RunConfig hold every setting, checked
+when built; each field annotated int, float or str holds that Python
+type (see _store_plain). The driver wires data, network, and regularizer
+into the training loop, records per-epoch metrics, writes lattice
+snapshots and a rerunnable manifest, and summarizes finished runs. A run
+is a deterministic function of its config: identical configs produce
+byte-identical metrics files and snapshots.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import numbers
 import operator
 import os
 import typing
@@ -20,16 +23,17 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from lifedrop import nn
-from lifedrop.data import BlobSpec, Dataset, batches, load_cifar10, make_blobs
+from lifedrop.data import Dataset, batches, load_cifar10, make_blobs
 from lifedrop.lattice import init_random, write_pbm
-from lifedrop.regularizers import (RegularizerConfig, alpha_affine, classical_gain, gaussian_gain,
-                                   on_epoch_end_dynamic)
+from lifedrop.regularizers import alpha_affine, classical_gain, gaussian_gain, on_epoch_end_dynamic
 
 ARCH_PRESETS = {
     "arch1": (512, 512, 512),
     "arch2": (128,) * 10,
     "arch3": (64,) * 10,
 }
+
+KINDS = ("none", "classical", "gaussian", "alpha", "dynamic")
 
 SUMMARY_HEADER = "run,regularizer,final_train_loss,final_val_loss,final_train_acc,final_val_acc,max_val_acc,final_gap"
 
@@ -44,6 +48,61 @@ def derive_seed(master: int, *key) -> int:
             parts.append(int(item) & 0xFFFFFFFF)
     ss = np.random.SeedSequence(entropy=int(master) & 0xFFFFFFFFFFFFFFFF, spawn_key=tuple(parts))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# per annotation: the type a value must be an instance of (numpy scalars are), and its error's noun
+_PLAIN_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"), str: (str, "a string")}
+_hints = functools.cache(typing.get_type_hints)  # a config class's annotations, resolved on its first build
+
+
+def _store_plain(config) -> None:
+    """Check each field of a frozen config annotated int, float or str, and store it as that Python type."""
+    for name, kind in _hints(type(config)).items():
+        if kind in _PLAIN_TYPES:
+            value, (accepted, noun) = getattr(config, name), _PLAIN_TYPES[kind]
+            if not isinstance(value, accepted):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
+            object.__setattr__(config, name, kind(value))
+
+
+@dataclass(frozen=True)
+class RegularizerConfig:
+    kind: str
+    rate: float = 0.5
+    lattice_density: float = 0.5
+    reactivation_fraction: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        _store_plain(self)
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown regularizer kind {self.kind!r}, expected one of {KINDS}")
+        if not 0.0 <= self.rate < 1.0:
+            raise ValueError(f"rate must lie in [0, 1), got {self.rate}")
+        if not 0.0 <= self.lattice_density <= 1.0:
+            raise ValueError(f"lattice_density must lie in [0, 1], got {self.lattice_density}")
+        if not 0.0 < self.reactivation_fraction <= 1.0:
+            raise ValueError(f"reactivation_fraction must lie in (0, 1], got {self.reactivation_fraction}")
+
+
+@dataclass(frozen=True)
+class BlobSpec:
+    """Parameters for the synthetic-blob data source (see data.make_blobs), checked when built."""
+
+    per_class: int = 500
+    classes: int = 4
+    dim: int = 32
+    separation: float = 10.0
+
+    def __post_init__(self):
+        _store_plain(self)
+        for name in ("per_class", "classes", "dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 <= self.separation < np.inf:  # also false for NaN
+            raise ValueError(f"separation must be finite and non-negative, got {self.separation}")
+        if self.dim < self.classes:
+            raise ValueError(f"dim ({self.dim}) must be at least classes ({self.classes}) for axis-aligned means")
 
 
 @dataclass(frozen=True)
@@ -67,25 +126,25 @@ class RunConfig:
     widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _store_plain(self)
         if not isinstance(self.regularizer, RegularizerConfig):
             raise ValueError(f"regularizer must be a RegularizerConfig, got {self.regularizer!r}")
         if self.blobs is not None and not isinstance(self.blobs, BlobSpec):
             raise ValueError(f"blobs must be a BlobSpec or None, got {self.blobs!r}")
-        for name in ("epochs", "batch_size", "patience", "seed"):  # numpy integers pass, floats do not
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        object.__setattr__(self, "widths", resolve_architecture(self.architecture))
+        arch = self.architecture  # a name is stored as a str, explicit widths as the resolved tuple
+        object.__setattr__(self, "widths", resolve_architecture(arch))
+        object.__setattr__(self, "architecture", str(arch) if isinstance(arch, str) else self.widths)
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        try:
-            if any(operator.index(e) < 1 for e in self.snapshot_epochs):
-                raise ValueError(f"snapshot_epochs must be at least 1, got {self.snapshot_epochs}")
+        try:  # numpy integers pass, floats do not
+            snapshots = tuple(operator.index(e) for e in self.snapshot_epochs)
         except TypeError:
             raise ValueError(f"snapshot_epochs must be integers, got {self.snapshot_epochs!r}") from None
+        if any(e < 1 for e in snapshots):
+            raise ValueError(f"snapshot_epochs must be at least 1, got {self.snapshot_epochs}")
+        object.__setattr__(self, "snapshot_epochs", snapshots)
         if self.patience < 1:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
         if not 0 <= self.min_delta < np.inf:  # also false for NaN
@@ -333,24 +392,15 @@ def _manifest_entries(obj, prefix=""):
         if is_dataclass(value):
             yield from _manifest_entries(value, f"{prefix}{f.name}.")
         else:
-            yield prefix + f.name, str(value) if isinstance(value, PurePath) else _plain(value)
-
-
-def _plain(value):
-    """The value with every numpy scalar, also inside a tuple or list, made a Python scalar."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, (tuple, list)):
-        return type(value)(_plain(v) for v in value)
-    return value
+            yield prefix + f.name, str(value) if isinstance(value, (str, PurePath)) else value
 
 
 def write_manifest(config: RunConfig, path) -> None:
     """Everything needed to rerun the experiment: a `key = value` line per config field.
 
-    Values are Python literals (a numpy scalar is written as its Python
-    value), nested configs give dotted keys such as
-    `regularizer.rate`, and a path-like data_dir is written as its string.
+    Values are the reprs of the plain values a config holds, nested
+    configs give dotted keys such as `regularizer.rate`, and a path-like
+    or numpy-string data_dir is written as its string.
     The last line, `layers`, records the resolved widths.
     """
     lines = [f"{key} = {value!r}" for key, value in _manifest_entries(config)]

@@ -1,4 +1,4 @@
-"""The four dropout strategies behind one config, plus the board's epoch-end hook.
+"""The dropout draws and the board's epoch-end hook; harness holds their settings.
 
 Classical, Gaussian and alpha dropout each draw fresh per-batch noise as
 the (gain, offset) pair that nn.forward applies to the pre-activations.
@@ -8,50 +8,23 @@ each epoch without them, the same as a gain of 1 - mask on those
 pre-activations. So the comparison between strategies is
 site-controlled; evaluation applies none of them. The hook carries the
 patience monitor as the pair (best validation loss, epochs since it
-improved); RunConfig checks patience and min_delta. Nothing here derives
+improved). Nothing here defines or checks a setting, and nothing derives
 a seed: harness keys the Generator each draw is handed, once per batch,
 and the seed of the epoch-end hook's revival draw. The draws trust their
-rate to lie in [0, 1), the range RegularizerConfig enforces.
+rate to lie in [0, 1), the range harness.RegularizerConfig enforces.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from lifedrop.lattice import reactivate, step
 
-KINDS = ("none", "classical", "gaussian", "alpha", "dynamic")
-
 # Negative saturation value for alpha dropout: dropped units are pinned here
 # instead of zero so an affine correction can restore mean 0 / variance 1.
 ALPHA_PRIME = -1.7580993408473766
-
-
-@dataclass(frozen=True)
-class RegularizerConfig:
-    kind: str
-    rate: float = 0.5
-    lattice_density: float = 0.5
-    reactivation_fraction: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown regularizer kind {self.kind!r}, expected one of {KINDS}")
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError(f"rate must lie in [0, 1), got {self.rate}")
-        if not 0.0 <= self.lattice_density <= 1.0:
-            raise ValueError(f"lattice_density must lie in [0, 1], got {self.lattice_density}")
-        if not 0.0 < self.reactivation_fraction <= 1.0:
-            raise ValueError(f"reactivation_fraction must lie in (0, 1], got {self.reactivation_fraction}")
-        try:  # numpy integers pass, floats do not
-            operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
 
 
 def classical_gain(shape, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, None]:

@@ -16,8 +16,7 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 import time
 
 from lifedrop.data import Dataset, load_cifar10
-from lifedrop.harness import RunConfig, run
-from lifedrop.regularizers import RegularizerConfig
+from lifedrop.harness import RegularizerConfig, RunConfig, run
 
 SUBSET_TRAIN = 5_000
 SUBSET_VAL = 2_000

@@ -73,8 +73,14 @@ MUTANTS = (
      "if not isinstance(self.regularizer, RegularizerConfig):", "if False:"),
     ("blobs of another type accepted when built", "harness.py",
      "if self.blobs is not None and not isinstance(self.blobs, BlobSpec):", "if False:"),
-    ("a float epoch count or batch size truncated to an integer", "harness.py",
-     "operator.index(getattr(self, name))", "int(getattr(self, name))"),
+    ("a float integer setting truncated to an integer", "harness.py",
+     'int: (numbers.Integral, "an integer")', 'int: (numbers.Real, "an integer")'),
+    ("the real-number check turned off", "harness.py",
+     'float: (numbers.Real, "a real number")', 'float: (object, "a real number")'),
+    ("a setting's checked value not stored as its Python type", "harness.py",
+     "            object.__setattr__(config, name, kind(value))", "            pass"),
+    ("batch_size annotated float, so a float batch size is accepted", "harness.py",
+     "    batch_size: int = 512", "    batch_size: float = 512"),
     ("a loss equal to best - min_delta counted as an improvement", "regularizers.py",
      "val_loss < best - config.min_delta", "val_loss <= best - config.min_delta"),
     ("the stall count kept when the monitor fires", "regularizers.py",
@@ -82,17 +88,18 @@ MUTANTS = (
     ("a patience below 1 accepted when built", "harness.py", "if self.patience < 1:", "if False:"),
     ("a negative or non-finite min_delta accepted when built", "harness.py",
      "if not 0 <= self.min_delta < np.inf:", "if False:"),
-    ("a float patience accepted when built", "harness.py",
-     '("epochs", "batch_size", "patience", "seed")', '("epochs", "batch_size", "seed")'),
+    ("a float patience accepted when built", "harness.py", "    patience: int = 5", "    patience: float = 5"),
     ("a float run seed accepted when built", "harness.py",
-     '("epochs", "batch_size", "patience", "seed")', '("epochs", "batch_size", "patience")'),
-    ("a float snapshot epoch accepted when built", "harness.py", "operator.index(e) < 1", "e < 1"),
+     "    learning_rate: float = 0.01\n    seed: int = 0", "    learning_rate: float = 0.01\n    seed: float = 0"),
+    ("a float snapshot epoch accepted when built", "harness.py",
+     "operator.index(e) for e in self.snapshot_epochs", "int(e) for e in self.snapshot_epochs"),
     ("float architecture widths truncated to integers", "harness.py",
      "operator.index(w) for w in arch", "int(w) for w in arch"),
-    ("a float regularizer seed accepted when built", "regularizers.py",
-     "operator.index(self.seed)", "int(self.seed)"),
-    ("a float blob count or dimension accepted when built", "data.py",
-     "operator.index(getattr(self, name))", "int(getattr(self, name))"),
+    ("a float regularizer seed accepted when built", "harness.py",
+     "    reactivation_fraction: float = 0.1\n    seed: int = 0", "    reactivation_fraction: float = 0.1\n    seed: float = 0"),
+    ("a float blob count accepted when built", "harness.py", "    per_class: int = 500", "    per_class: float = 500"),
+    ("a float or string class count accepted", "data.py",
+     "class_count = operator.index(self.class_count)", "class_count = self.class_count"),
 )
 
 

@@ -16,7 +16,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC = {
     "ARCH_PRESETS", "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare",
-    "load_cifar10", "make_blobs", "run",
+    "load_cifar10", "run",
 }
 
 
@@ -44,6 +44,12 @@ def test_only_harness_derives_seeds():
     assert holders == ["harness"]
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("lifedrop.seeding")
+
+
+def test_harness_holds_every_setting():
+    # one module defines every config, so one type rule checks them all
+    settings = (lifedrop.RegularizerConfig, lifedrop.BlobSpec, lifedrop.RunConfig)
+    assert {cls.__module__ for cls in settings} == {"lifedrop.harness"}
 
 
 def test_every_perfbench_trace_hook_exists(monkeypatch):

@@ -12,11 +12,10 @@ import pytest
 from lifedrop import harness, nn
 from lifedrop.cli import main
 from lifedrop.data import Dataset, make_blobs
-from lifedrop.harness import (ARCH_PRESETS, BlobSpec, EpochMetrics, RunConfig,
+from lifedrop.harness import (ARCH_PRESETS, BlobSpec, EpochMetrics, RegularizerConfig, RunConfig,
                               compare, config_from_manifest, derive_seed, evaluate, read_metrics,
                               resolve_architecture, run, write_manifest, write_metrics)
 from lifedrop.lattice import init_random, reactivate, step
-from lifedrop.regularizers import RegularizerConfig
 
 BLOBS = BlobSpec(per_class=60, classes=3, dim=8, separation=8.0)
 
@@ -235,6 +234,22 @@ class TestManifest:
             write_manifest(blob_config(tmp_path, architecture="arch7"), path)
         assert not path.exists()
 
+    def test_int_for_a_real_setting_held_and_written_as_a_float(self, tmp_path):
+        cfg = blob_config(tmp_path, learning_rate=1, min_delta=0, blobs=BlobSpec(separation=10))
+        assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+        path = tmp_path / "manifest.txt"
+        write_manifest(cfg, path)
+        text = path.read_text()
+        assert "learning_rate = 1.0\n" in text and "min_delta = 0.0\n" in text and "blobs.separation = 10.0\n" in text
+        assert config_from_manifest(path, output_dir=cfg.output_dir) == cfg
+
+    def test_explicit_widths_held_and_written_as_a_tuple(self, tmp_path):
+        cfg = blob_config(tmp_path, architecture=[np.int64(8)])
+        assert cfg.architecture == cfg.widths == (8,) and type(cfg.architecture[0]) is int
+        path = tmp_path / "manifest.txt"
+        write_manifest(cfg, path)
+        assert "architecture = (8,)\n" in path.read_text()
+
     def test_data_dir_round_trips(self, tmp_path):
         reg = RegularizerConfig(kind="classical", rate=0.3, seed=2)
         cfg = RunConfig(architecture="arch2", regularizer=reg, output_dir=tmp_path,
@@ -270,8 +285,10 @@ class TestManifest:
     @pytest.mark.parametrize("field, value", [
         ("seed", np.int64(3)), ("rate", np.float64(0.2)), ("architecture", (np.int64(8),)),
         ("snapshot_epochs", (np.int64(1),)), ("epochs", np.int64(2)), ("batch_size", np.int32(16)),
-        ("patience", np.int64(2)),
-    ], ids=["seed", "rate", "architecture", "snapshot_epochs", "epochs", "batch_size", "patience"])
+        ("patience", np.int64(2)), ("reg_kind", np.str_("dynamic")), ("architecture", np.str_("arch3")),
+        ("rate", np.float32(0.2)),
+    ], ids=["seed", "rate", "architecture", "snapshot_epochs", "epochs", "batch_size", "patience", "kind",
+            "preset", "float32-rate"])
     def test_numpy_scalars_written_as_plain_values(self, tmp_path, field, value):
         cfg = blob_config(tmp_path, **{field: value})
         path = tmp_path / "manifest.txt"
@@ -480,6 +497,10 @@ class TestRun:
         ({"patience": 2.5}, "patience must be an integer"), ({"seed": 2.5}, "seed must be an integer"),
         ({"snapshot_epochs": (1.5,)}, "snapshot_epochs must be integers"),
         ({"architecture": (8.7, 8.2)}, "architecture widths must be integers"),
+        # a string or None for a real setting is refused by its type, before a range check compares it
+        ({"learning_rate": "0.1"}, "learning_rate must be a real number"),
+        ({"min_delta": "0.1"}, "min_delta must be a real number"),
+        ({"learning_rate": None}, "learning_rate must be a real number"),
     ])
     def test_bad_config_rejected_when_built(self, tmp_path, kind, bad, message):
         with pytest.raises(ValueError, match=message):
@@ -499,7 +520,8 @@ class TestRun:
         ({"per_class": 0}, "positive"), ({"classes": 8, "dim": 4}, "at least classes"),
         ({"separation": -1.0}, "separation"), ({"separation": math.nan}, "separation"),
         ({"per_class": 10.5}, "per_class must be an integer"), ({"classes": 2.0}, "classes must be an integer"),
-        ({"dim": 8.0}, "dim must be an integer"),
+        ({"dim": 8.0}, "dim must be an integer"), ({"separation": "10"}, "separation must be a real number"),
+        ({"separation": None}, "separation must be a real number"),
     ])
     def test_bad_blob_spec_rejected_when_built(self, tmp_path, spec, message):
         with pytest.raises(ValueError, match=message):

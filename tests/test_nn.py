@@ -7,8 +7,8 @@ import pytest
 
 from lifedrop import nn
 from lifedrop.data import Dataset
-from lifedrop.harness import RunConfig
-from lifedrop.regularizers import RegularizerConfig, alpha_affine, classical_gain, gaussian_gain
+from lifedrop.harness import RegularizerConfig, RunConfig
+from lifedrop.regularizers import alpha_affine, classical_gain, gaussian_gain
 
 
 def toy_network(weight_lists, bias_lists):

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from lifedrop.data import batches, make_blobs
-from lifedrop.harness import RunConfig, derive_seed, run
+from lifedrop.harness import RegularizerConfig, RunConfig, derive_seed, run
 from lifedrop.lattice import reactivate, step
-from lifedrop.regularizers import RegularizerConfig, alpha_affine, classical_gain, gaussian_gain
+from lifedrop.regularizers import alpha_affine, classical_gain, gaussian_gain
 
 WIDTHS = (6, 6, 6)
 EPOCHS = 4

@@ -7,10 +7,9 @@ import pytest
 
 from lifedrop import harness, nn
 from lifedrop.data import batches, make_blobs
-from lifedrop.harness import BlobSpec, RunConfig, derive_seed, evaluate
+from lifedrop.harness import BlobSpec, RegularizerConfig, RunConfig, derive_seed, evaluate
 from lifedrop.lattice import init_random, reactivate, step
-from lifedrop.regularizers import (ALPHA_PRIME, RegularizerConfig, alpha_affine, classical_gain,
-                                   gaussian_gain, on_epoch_end_dynamic)
+from lifedrop.regularizers import ALPHA_PRIME, alpha_affine, classical_gain, gaussian_gain, on_epoch_end_dynamic
 
 
 def hook_config(patience, min_delta, **reg):
@@ -42,6 +41,17 @@ class TestRegularizerConfig:
             RegularizerConfig(kind="classical", lattice_density=1.5)
         with pytest.raises(ValueError):
             RegularizerConfig(kind="none", reactivation_fraction=0.0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"rate": "0.5"}, "rate must be a real number"), ({"rate": None}, "rate must be a real number"),
+        ({"lattice_density": "0.5"}, "lattice_density must be a real number"),
+        ({"reactivation_fraction": "0.1"}, "reactivation_fraction must be a real number"),
+        ({"kind": None}, "kind must be a string"),
+    ])
+    def test_setting_of_another_type_rejected(self, bad, message):
+        # the type is checked before a range check compares the value
+        with pytest.raises(ValueError, match=message):
+            RegularizerConfig(**{"kind": "classical", **bad})
 
     @pytest.mark.parametrize("kind", ["none", "dynamic"])
     def test_seed_must_be_an_integer(self, kind):
