@@ -7,11 +7,10 @@ provided as fixed baselines.
 """
 
 from lifedrop.data import Dataset, load_cifar10
-from lifedrop.harness import ARCH_PRESETS, BlobSpec, EpochMetrics, RegularizerConfig, RunConfig, compare, run
+from lifedrop.harness import BlobSpec, EpochMetrics, RegularizerConfig, RunConfig, compare, run
 
 __all__ = [
-    "ARCH_PRESETS", "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare",
-    "load_cifar10", "run",
+    "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare", "load_cifar10", "run",
 ]
 
 __version__ = "0.1.0"

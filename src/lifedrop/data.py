@@ -14,7 +14,7 @@ batches draw from the seed they are given, and harness derives every seed.
 
 from __future__ import annotations
 
-import operator
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +39,7 @@ class Dataset:
     176 MiB of bytes rather than 1.4 GiB of float64. Any other dtype is
     coerced to float64, without a copy when it already is float64. Read
     features through `rows`, which returns float64. Labels must have an
-    integer dtype (not bool) and are stored as int64; class_count as an int.
+    integer dtype (not bool) and are stored as int64; class_count (no bool) as an int.
     """
 
     features: np.ndarray  # (n, dim) uint8 bytes or float64; read through rows()
@@ -61,10 +61,10 @@ class Dataset:
             raise ValueError(f"{features.shape[0]} feature rows but {labels.shape} labels")
         if features.shape[0] == 0:
             raise ValueError(f"dataset {self.name!r} has no rows; training and evaluation need rows")
-        try:  # numpy integers pass, floats and strings do not
-            class_count = operator.index(self.class_count)
-        except TypeError:
-            raise ValueError(f"class_count must be an integer, got {self.class_count!r}") from None
+        # numpy integers pass; floats, strings and bools do not (harness's rule: importing it here is a cycle)
+        if isinstance(self.class_count, bool) or not isinstance(self.class_count, numbers.Integral):
+            raise ValueError(f"class_count must be an integer, got {self.class_count!r}")
+        class_count = int(self.class_count)
         if class_count < 1:
             raise ValueError("class_count must be positive")
         if labels.min() < 0 or labels.max() >= class_count:

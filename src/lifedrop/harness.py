@@ -1,8 +1,8 @@
 """Every setting, and the experiment driver.
 
 RegularizerConfig, BlobSpec and RunConfig hold every setting, checked
-when built; each field annotated int, float or str holds that Python
-type (see _store_plain). The driver wires data, network, and regularizer
+and held as plain Python values by one rule (see _plain: no bool is a
+number, a path is a str). The driver wires data, network, and regularizer
 into the training loop, records per-epoch metrics, writes lattice
 snapshots and a rerunnable manifest, and summarizes finished runs. A run
 is a deterministic function of its config: identical configs produce
@@ -12,13 +12,13 @@ byte-identical metrics files and snapshots.
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
 import numbers
-import operator
 import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
-from pathlib import Path, PurePath
+from pathlib import Path
 
 import numpy as np
 
@@ -50,19 +50,34 @@ def derive_seed(master: int, *key) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-# per annotation: the type a value must be an instance of (numpy scalars are), and its error's noun
-_PLAIN_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"), str: (str, "a string")}
+# per annotation: the types a value may be (numpy scalars are, a bool never is), its error's noun, and how it is stored
+_PATH = ((str, os.PathLike), "a path", lambda v: str(os.fspath(v)))
+_RULES = {int: (numbers.Integral, "an integer", int), float: (numbers.Real, "a real number", float),
+          str: (str, "a string", str), str | Path: _PATH, str | Path | None: _PATH}
 _hints = functools.cache(typing.get_type_hints)  # a config class's annotations, resolved on its first build
 
 
+def _plain(name, kind, value):
+    """Check a setting's value against the rule for its annotation `kind`, and return the plain value to store."""
+    if kind == tuple[int, ...]:  # a tuple or list whose items pass the int rule
+        if isinstance(value, (tuple, list)):
+            with contextlib.suppress(ValueError):
+                return tuple(_plain(name, int, v) for v in value)
+        raise ValueError(f"{name} must be integers, got {value!r}")
+    if value is None and kind == str | Path | None:  # an optional path left unset
+        return None
+    accepted, noun, store = _RULES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return store(value)
+
+
 def _store_plain(config) -> None:
-    """Check each field of a frozen config annotated int, float or str, and store it as that Python type."""
-    for name, kind in _hints(type(config)).items():
-        if kind in _PLAIN_TYPES:
-            value, (accepted, noun) = getattr(config, name), _PLAIN_TYPES[kind]
-            if not isinstance(value, accepted):
-                raise ValueError(f"{name} must be {noun}, got {value!r}")
-            object.__setattr__(config, name, kind(value))
+    """Store each init field of a frozen config whose annotation has a rule as _plain returns it."""
+    for f in fields(config):
+        kind = _hints(type(config))[f.name]
+        if f.init and kind in (*_RULES, tuple[int, ...]):
+            object.__setattr__(config, f.name, _plain(f.name, kind, getattr(config, f.name)))
 
 
 @dataclass(frozen=True)
@@ -138,13 +153,8 @@ class RunConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        try:  # numpy integers pass, floats do not
-            snapshots = tuple(operator.index(e) for e in self.snapshot_epochs)
-        except TypeError:
-            raise ValueError(f"snapshot_epochs must be integers, got {self.snapshot_epochs!r}") from None
-        if any(e < 1 for e in snapshots):
+        if any(e < 1 for e in self.snapshot_epochs):
             raise ValueError(f"snapshot_epochs must be at least 1, got {self.snapshot_epochs}")
-        object.__setattr__(self, "snapshot_epochs", snapshots)
         if self.patience < 1:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
         if not 0 <= self.min_delta < np.inf:  # also false for NaN
@@ -187,10 +197,7 @@ def resolve_architecture(arch) -> tuple[int, ...]:
             raise ValueError(f"unknown architecture preset {arch!r} "
                              f"(expected one of {sorted(ARCH_PRESETS)} or custom:<w1,w2,...>)")
     else:
-        try:  # numpy integers pass, floats do not
-            widths = tuple(operator.index(w) for w in arch)
-        except TypeError:
-            raise ValueError(f"architecture widths must be integers, got {arch!r}") from None
+        widths = _plain("architecture widths", tuple[int, ...], arch)
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"layer widths must be positive, got {widths}")
     return widths
@@ -392,15 +399,15 @@ def _manifest_entries(obj, prefix=""):
         if is_dataclass(value):
             yield from _manifest_entries(value, f"{prefix}{f.name}.")
         else:
-            yield prefix + f.name, str(value) if isinstance(value, (str, PurePath)) else value
+            yield prefix + f.name, value
 
 
 def write_manifest(config: RunConfig, path) -> None:
     """Everything needed to rerun the experiment: a `key = value` line per config field.
 
-    Values are the reprs of the plain values a config holds, nested
-    configs give dotted keys such as `regularizer.rate`, and a path-like
-    or numpy-string data_dir is written as its string.
+    Values are the reprs of the plain values a config holds (a path-like
+    or numpy-string data_dir is held as its str), and nested configs give
+    dotted keys such as `regularizer.rate`.
     The last line, `layers`, records the resolved widths.
     """
     lines = [f"{key} = {value!r}" for key, value in _manifest_entries(config)]

@@ -74,11 +74,11 @@ MUTANTS = (
     ("blobs of another type accepted when built", "harness.py",
      "if self.blobs is not None and not isinstance(self.blobs, BlobSpec):", "if False:"),
     ("a float integer setting truncated to an integer", "harness.py",
-     'int: (numbers.Integral, "an integer")', 'int: (numbers.Real, "an integer")'),
+     'int: (numbers.Integral, "an integer", int)', 'int: (numbers.Real, "an integer", int)'),
     ("the real-number check turned off", "harness.py",
-     'float: (numbers.Real, "a real number")', 'float: (object, "a real number")'),
+     'float: (numbers.Real, "a real number", float)', 'float: (object, "a real number", float)'),
     ("a setting's checked value not stored as its Python type", "harness.py",
-     "            object.__setattr__(config, name, kind(value))", "            pass"),
+     "    return store(value)", "    return value"),
     ("batch_size annotated float, so a float batch size is accepted", "harness.py",
      "    batch_size: int = 512", "    batch_size: float = 512"),
     ("a loss equal to best - min_delta counted as an improvement", "regularizers.py",
@@ -92,14 +92,22 @@ MUTANTS = (
     ("a float run seed accepted when built", "harness.py",
      "    learning_rate: float = 0.01\n    seed: int = 0", "    learning_rate: float = 0.01\n    seed: float = 0"),
     ("a float snapshot epoch accepted when built", "harness.py",
-     "operator.index(e) for e in self.snapshot_epochs", "int(e) for e in self.snapshot_epochs"),
+     "    snapshot_epochs: tuple[int, ...] = (1, 10, 20)", "    snapshot_epochs: tuple = (1, 10, 20)"),
     ("float architecture widths truncated to integers", "harness.py",
-     "operator.index(w) for w in arch", "int(w) for w in arch"),
+     '_plain("architecture widths", tuple[int, ...], arch)', "tuple(int(w) for w in arch)"),
     ("a float regularizer seed accepted when built", "harness.py",
      "    reactivation_fraction: float = 0.1\n    seed: int = 0", "    reactivation_fraction: float = 0.1\n    seed: float = 0"),
     ("a float blob count accepted when built", "harness.py", "    per_class: int = 500", "    per_class: float = 500"),
     ("a float or string class count accepted", "data.py",
-     "class_count = operator.index(self.class_count)", "class_count = self.class_count"),
+     " or not isinstance(self.class_count, numbers.Integral):", ":"),
+    ("a bool accepted as a number", "harness.py",
+     "if isinstance(value, bool) or not isinstance(value, accepted):", "if not isinstance(value, accepted):"),
+    ("the path rule turned off", "harness.py",
+     'str: (str, "a string", str), str | Path: _PATH, str | Path | None: _PATH}', 'str: (str, "a string", str)}'),
+    ("the integer-tuple rule accepting a float item", "harness.py",
+     "return tuple(_plain(name, int, v) for v in value)", "return tuple(int(v) for v in value)"),
+    ("a bool class count accepted", "data.py",
+     "if isinstance(self.class_count, bool) or not isinstance(", "if not isinstance("),
 )
 
 

@@ -15,8 +15,7 @@ import lifedrop
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC = {
-    "ARCH_PRESETS", "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare",
-    "load_cifar10", "run",
+    "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare", "load_cifar10", "run",
 }
 
 

@@ -32,7 +32,7 @@ class TestDatasetValue:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), np.array([0]), name="x", class_count=2)
 
-    @pytest.mark.parametrize("class_count", [2.5, "3", None])
+    @pytest.mark.parametrize("class_count", [2.5, "3", None, True])
     def test_class_count_must_be_a_positive_integer(self, class_count):
         # a float count was accepted and built int(2.5) output units; training then indexed past them
         with pytest.raises(ValueError, match="class_count must be"):

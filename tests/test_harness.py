@@ -4,7 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +250,16 @@ class TestManifest:
         write_manifest(cfg, path)
         assert "architecture = (8,)\n" in path.read_text()
 
+    def test_paths_held_and_written_as_strings(self, tmp_path):
+        cfg = blob_config(tmp_path, output_dir=tmp_path / "run", data_dir=np.str_("cifar"), blobs=None)
+        assert type(cfg.output_dir) is str and cfg.output_dir == str(tmp_path / "run")
+        assert type(cfg.data_dir) is str and cfg.data_dir == "cifar"
+        plain = blob_config(tmp_path, output_dir=str(tmp_path / "run"), data_dir="cifar", blobs=None)
+        write_manifest(cfg, tmp_path / "a.txt")
+        write_manifest(plain, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert cfg == plain
+
     def test_data_dir_round_trips(self, tmp_path):
         reg = RegularizerConfig(kind="classical", rate=0.3, seed=2)
         cfg = RunConfig(architecture="arch2", regularizer=reg, output_dir=tmp_path,
@@ -277,9 +287,7 @@ class TestManifest:
         path = tmp_path / "manifest.txt"
         write_manifest(cfg, path)
         rebuilt = config_from_manifest(path, output_dir=cfg.output_dir)
-        # a path-like data_dir is recorded, and read back, as its string
-        expected = replace(cfg, data_dir=str(cfg.data_dir)) if source == "data_dir" else cfg
-        assert rebuilt == expected
+        assert rebuilt == cfg  # a path-like data_dir is held, written and read back as its str
         assert type(rebuilt.architecture) is type(cfg.architecture)
 
     @pytest.mark.parametrize("field, value", [
@@ -464,7 +472,7 @@ class TestRun:
             lat = reactivate(lat, quota, derive_seed(cfg.seed, "reactivate", generation))
             expected.append(int(lat.sum()) - before)
         for epoch, board in enumerate(boards, start=1):
-            snapshot = (cfg.output_dir / f"lattice_epoch_{epoch}.pbm").read_text().splitlines()[2:]
+            snapshot = (Path(cfg.output_dir) / f"lattice_epoch_{epoch}.pbm").read_text().splitlines()[2:]
             assert snapshot == [" ".join(map(str, row)) for row in board], f"epoch {epoch}"
         assert [m.reactivated_cells for m in history] == expected
 
@@ -501,6 +509,14 @@ class TestRun:
         ({"learning_rate": "0.1"}, "learning_rate must be a real number"),
         ({"min_delta": "0.1"}, "min_delta must be a real number"),
         ({"learning_rate": None}, "learning_rate must be a real number"),
+        # a bool is no number, and a path setting must be a str or path-like
+        ({"epochs": True}, "epochs must be an integer"), ({"patience": True}, "patience must be an integer"),
+        ({"learning_rate": True}, "learning_rate must be a real number"),
+        ({"snapshot_epochs": (True,)}, "snapshot_epochs must be integers"),
+        ({"snapshot_epochs": 5}, "snapshot_epochs must be integers"),
+        ({"architecture": (True, 4)}, "architecture widths must be integers"),
+        ({"output_dir": None}, "output_dir must be a path"), ({"output_dir": 3}, "output_dir must be a path"),
+        ({"data_dir": 3}, "data_dir must be a path"),
     ])
     def test_bad_config_rejected_when_built(self, tmp_path, kind, bad, message):
         with pytest.raises(ValueError, match=message):
@@ -522,6 +538,7 @@ class TestRun:
         ({"per_class": 10.5}, "per_class must be an integer"), ({"classes": 2.0}, "classes must be an integer"),
         ({"dim": 8.0}, "dim must be an integer"), ({"separation": "10"}, "separation must be a real number"),
         ({"separation": None}, "separation must be a real number"),
+        ({"per_class": True}, "per_class must be an integer"),
     ])
     def test_bad_blob_spec_rejected_when_built(self, tmp_path, spec, message):
         with pytest.raises(ValueError, match=message):

@@ -47,6 +47,7 @@ class TestRegularizerConfig:
         ({"lattice_density": "0.5"}, "lattice_density must be a real number"),
         ({"reactivation_fraction": "0.1"}, "reactivation_fraction must be a real number"),
         ({"kind": None}, "kind must be a string"),
+        ({"seed": True}, "seed must be an integer"), ({"rate": True}, "rate must be a real number"),
     ])
     def test_setting_of_another_type_rejected(self, bad, message):
         # the type is checked before a range check compares the value
