@@ -61,6 +61,8 @@ class Dataset:
             raise ValueError(f"{features.shape[0]} feature rows but {labels.shape} labels")
         if features.shape[0] == 0:
             raise ValueError(f"dataset {self.name!r} has no rows; training and evaluation need rows")
+        if features.shape[1] == 0:
+            raise ValueError(f"dataset {self.name!r} has no feature columns")
         # numpy integers pass; floats, strings and bools do not (harness's rule: importing it here is a cycle)
         if isinstance(self.class_count, bool) or not isinstance(self.class_count, numbers.Integral):
             raise ValueError(f"class_count must be an integer, got {self.class_count!r}")

@@ -1,23 +1,19 @@
 """Every setting, and the experiment driver.
 
-RegularizerConfig, BlobSpec and RunConfig hold every setting, checked
-and held as plain Python values by one rule (see _plain: no bool is a
-number, a path is a str). The driver wires data, network, and regularizer
-into the training loop, records per-epoch metrics, writes lattice
-snapshots and a rerunnable manifest, and summarizes finished runs. A run
-is a deterministic function of its config: identical configs produce
-byte-identical metrics files and snapshots.
+RegularizerConfig, BlobSpec and RunConfig are plain dataclasses, each field
+a setting read with its real annotation and held as a plain Python value by
+one rule (see _plain: no bool is a number, a path is a str). The driver
+wires data, network, and regularizer into the training loop, records
+per-epoch metrics, writes lattice snapshots and a rerunnable manifest, and
+summarizes finished runs. A run is a deterministic function of its config:
+identical configs produce byte-identical metrics files and snapshots.
 """
-
-from __future__ import annotations
 
 import ast
 import contextlib
-import functools
 import numbers
 import os
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +50,6 @@ def derive_seed(master: int, *key) -> int:
 _PATH = ((str, os.PathLike), "a path", lambda v: str(os.fspath(v)))
 _RULES = {int: (numbers.Integral, "an integer", int), float: (numbers.Real, "a real number", float),
           str: (str, "a string", str), str | Path: _PATH, str | Path | None: _PATH}
-_hints = functools.cache(typing.get_type_hints)  # a config class's annotations, resolved on its first build
 
 
 def _plain(name, kind, value):
@@ -73,11 +68,10 @@ def _plain(name, kind, value):
 
 
 def _store_plain(config) -> None:
-    """Store each init field of a frozen config whose annotation has a rule as _plain returns it."""
+    """Store each field of a frozen config whose real annotation, f.type, has a rule as _plain returns it."""
     for f in fields(config):
-        kind = _hints(type(config))[f.name]
-        if f.init and kind in (*_RULES, tuple[int, ...]):
-            object.__setattr__(config, f.name, _plain(f.name, kind, getattr(config, f.name)))
+        if f.type in (*_RULES, tuple[int, ...]):
+            object.__setattr__(config, f.name, _plain(f.name, f.type, getattr(config, f.name)))
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,7 @@ class BlobSpec:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run depends on, checked when built so that a bad config
-    fails before anything is written. `widths` is the resolved architecture.
+    fails before anything is written. Each field is a setting a caller gives.
     """
 
     architecture: str | tuple[int, ...]  # preset name, "custom:w1,w2,...", or explicit widths
@@ -138,7 +132,6 @@ class RunConfig:
     min_delta: float = 1e-3  # how far validation loss must fall to count as an improvement
     data_dir: str | Path | None = None
     blobs: BlobSpec | None = None
-    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _store_plain(self)
@@ -146,9 +139,8 @@ class RunConfig:
             raise ValueError(f"regularizer must be a RegularizerConfig, got {self.regularizer!r}")
         if self.blobs is not None and not isinstance(self.blobs, BlobSpec):
             raise ValueError(f"blobs must be a BlobSpec or None, got {self.blobs!r}")
-        arch = self.architecture  # a name is stored as a str, explicit widths as the resolved tuple
-        object.__setattr__(self, "widths", resolve_architecture(arch))
-        object.__setattr__(self, "architecture", str(arch) if isinstance(arch, str) else self.widths)
+        arch, widths = self.architecture, resolve_architecture(self.architecture)  # a name stays a str, widths a tuple
+        object.__setattr__(self, "architecture", str(arch) if isinstance(arch, str) else widths)
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
@@ -161,9 +153,9 @@ class RunConfig:
             raise ValueError(f"min_delta must be finite and non-negative, got {self.min_delta}")
         if not 0 < self.learning_rate < np.inf:  # also false for NaN
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.regularizer.kind == "dynamic" and len(set(self.widths)) != 1:
+        if self.regularizer.kind == "dynamic" and len(set(widths)) != 1:
             raise ValueError("dynamic regularizer needs uniform hidden widths "
-                             f"(the lattice is rectangular), got {self.widths}")
+                             f"(the lattice is rectangular), got {widths}")
 
 
 @dataclass(frozen=True)
@@ -179,7 +171,7 @@ class EpochMetrics:
 
 
 # metrics.csv columns in order, each with the type that sets its format
-_METRIC_TYPES = typing.get_type_hints(EpochMetrics)
+_METRIC_TYPES = {f.name: f.type for f in fields(EpochMetrics)}
 METRICS_HEADER = ",".join(_METRIC_TYPES)
 
 
@@ -305,16 +297,17 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     """
     reg = config.regularizer
     train_ds, val_ds = _load_data(config, data)  # before any file is written
-    out = Path(config.output_dir)
+    out = Path(config.output_dir).expanduser()
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(config, out / "manifest.txt")
 
     width, classes = train_ds.features.shape[1], train_ds.class_count
-    network = nn.init_network(config.widths, width, classes, seed=derive_seed(config.seed, "init"))
+    widths = resolve_architecture(config.architecture)
+    network = nn.init_network(widths, width, classes, seed=derive_seed(config.seed, "init"))
 
     board = monitor = None
     if reg.kind == "dynamic":
-        board = init_random(len(config.widths), config.widths[0], reg.lattice_density,
+        board = init_random(len(widths), widths[0], reg.lattice_density,
                             seed=derive_seed(config.seed, "lattice"))
         monitor = (np.inf, 0)  # (best validation loss, epochs since it improved)
 
@@ -335,7 +328,7 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
 
         shuffle_seed = derive_seed(batch_seed, "shuffle", epoch)
         for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, shuffle_seed)):
-            _, trace = nn.forward(trained, x, scales=_batch_scales(config.widths, reg, x.shape[0], epoch, batch_i))
+            _, trace = nn.forward(trained, x, scales=_batch_scales(widths, reg, x.shape[0], epoch, batch_i))
             nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
             del x, y, trace  # one batch alive at a time: free this one before the next is gathered
 
@@ -391,9 +384,9 @@ def read_metrics(path) -> list[EpochMetrics]:
 
 
 def _manifest_entries(obj, prefix=""):
-    """(key, value) per init field but output_dir; nested dataclasses give dotted keys."""
+    """(key, value) per field but output_dir; nested dataclasses give dotted keys."""
     for f in fields(obj):
-        if not f.init or f.name == "output_dir":
+        if f.name == "output_dir":
             continue
         value = getattr(obj, f.name)
         if is_dataclass(value):
@@ -411,13 +404,13 @@ def write_manifest(config: RunConfig, path) -> None:
     The last line, `layers`, records the resolved widths.
     """
     lines = [f"{key} = {value!r}" for key, value in _manifest_entries(config)]
-    lines.append(f"layers = {config.widths!r}")
+    lines.append(f"layers = {resolve_architecture(config.architecture)!r}")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _pop_fields(cls, entries: dict, prefix="", skip=()) -> dict:
-    """`cls`'s init fields but `skip`, popped from the manifest entries under `prefix`."""
-    return {f.name: entries.pop(prefix + f.name) for f in fields(cls) if f.init and f.name not in skip}
+    """`cls`'s fields but `skip`, popped from the manifest entries under `prefix`."""
+    return {f.name: entries.pop(prefix + f.name) for f in fields(cls) if f.name not in skip}
 
 
 def config_from_manifest(path, output_dir) -> RunConfig:
@@ -459,8 +452,8 @@ def config_from_manifest(path, output_dir) -> RunConfig:
         raise ValueError(f"{path}: {exc}") from None
     if entries:
         raise ValueError(f"{path}: unknown manifest key {next(iter(entries))!r}")
-    if layers != config.widths:
-        raise ValueError(f"{path}: layers {layers!r} do not match the architecture's widths {config.widths}")
+    if layers != (widths := resolve_architecture(config.architecture)):
+        raise ValueError(f"{path}: layers {layers!r} do not match the architecture's widths {widths}")
     return config
 
 
@@ -473,7 +466,7 @@ def compare(run_dirs, out_path):
     """
     rows = []
     for run_dir in run_dirs:
-        run_dir = Path(run_dir)
+        run_dir = Path(run_dir).expanduser()
         history = read_metrics(run_dir / "metrics.csv")
         if not history:
             raise ValueError(f"{run_dir}: metrics.csv has no epoch rows")

@@ -108,6 +108,11 @@ MUTANTS = (
      "return tuple(_plain(name, int, v) for v in value)", "return tuple(int(v) for v in value)"),
     ("a bool class count accepted", "data.py",
      "if isinstance(self.class_count, bool) or not isinstance(", "if not isinstance("),
+    ("string annotations hide every field's type from the value rule", "harness.py",
+     "import ast\n", "from __future__ import annotations\nimport ast\n"),
+    ("a dataset with no feature columns accepted", "data.py", "if features.shape[1] == 0:", "if False:"),
+    ("a leading ~ in output_dir written literally", "harness.py",
+     "out = Path(config.output_dir).expanduser()", "out = Path(config.output_dir)"),
 )
 
 

@@ -47,6 +47,12 @@ class TestDatasetValue:
         with pytest.raises(ValueError, match="no rows"):
             Dataset(np.zeros((0, 3), dtype=dtype), np.zeros(0, dtype=np.int64), name="x", class_count=2)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_zero_feature_columns_rejected(self, dtype):
+        # a run on (6, 0) features divided by zero in init_network (bytes) or reduced an empty array (floats)
+        with pytest.raises(ValueError, match="dataset 'x' has no feature columns"):
+            Dataset(np.zeros((6, 0), dtype=dtype), np.zeros(6, dtype=np.int64), name="x", class_count=2)
+
     def test_float64_features_are_not_copied(self):
         x = np.random.default_rng(0).random((4, 3))
         d = Dataset(x, np.zeros(4, dtype=np.int64), name="x", class_count=1)

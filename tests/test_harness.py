@@ -245,7 +245,7 @@ class TestManifest:
 
     def test_explicit_widths_held_and_written_as_a_tuple(self, tmp_path):
         cfg = blob_config(tmp_path, architecture=[np.int64(8)])
-        assert cfg.architecture == cfg.widths == (8,) and type(cfg.architecture[0]) is int
+        assert cfg.architecture == (8,) and type(cfg.architecture[0]) is int
         path = tmp_path / "manifest.txt"
         write_manifest(cfg, path)
         assert "architecture = (8,)\n" in path.read_text()
@@ -700,6 +700,18 @@ class TestCompare:
         lineno = len(manifest.read_text().splitlines())
         with pytest.raises(ValueError, match=f"manifest.txt:{lineno}: malformed"):
             compare([d], tmp_path / "s.csv")
+
+    def test_tilde_output_dir_expanded_when_written_and_read(self, tmp_path, monkeypatch):
+        # "~" was taken literally: the run wrote ./~/runs/a under the working directory
+        home = tmp_path / "home"
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(tmp_path)
+        cfg = blob_config(tmp_path, output_dir="~/runs/a", epochs=1)
+        run(cfg)
+        assert cfg.output_dir == "~/runs/a"
+        assert (home / "runs" / "a" / "metrics.csv").is_file() and not (tmp_path / "~").exists()
+        rows = compare(["~/runs/a"], tmp_path / "s.csv")
+        assert [row[:2] for row in rows] == [("a", "none")]
 
 
 class TestCli:

@@ -185,7 +185,8 @@ class TestDynamicMask:
                            batch_size=16, learning_rate=0.2, seed=5, snapshot_epochs=())
         harness.run(config, data=(train, val))
 
-        network = nn.init_network(config.widths, 8, 3, seed=derive_seed(config.seed, "init"))
+        network = nn.init_network(harness.resolve_architecture(config.architecture), 8, 3,
+                                  seed=derive_seed(config.seed, "init"))
         initial = [(w.copy(), b.copy()) for w, b in network]
         for x, y in batches(train, 16, derive_seed(derive_seed(config.seed, "batches"), "shuffle", 1)):
             _, trace = nn.forward(network, x, scales=self.scales(cells))
