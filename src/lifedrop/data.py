@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthetic blobs and batching; harness holds the settings.
+"""Dataset ingestion, synthetic blobs and batching, and the value rule every setting meets.
 
 Reads the canonical CIFAR-10 binary distribution (six files of 10,000
 records; each record is 1 label byte followed by 3072 pixel bytes laid
@@ -10,13 +10,13 @@ by dividing by 255 as it is read, so only compute is float64. No other
 preprocessing. Synthetic Gaussian blobs (make_blobs, which trusts what
 harness.BlobSpec checks) stand in for fast, offline tests. make_blobs and
 batches draw from the seed they are given, and harness derives every seed.
+_plain checks each field of a Dataset or config against its annotation.
 """
 
-from __future__ import annotations
-
+import contextlib
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,34 @@ TEST_FILE = "test_batch.bin"
 CIFAR_CLASSES = 10
 
 
+# per annotation: the types a value may be (numpy scalars are, a bool never is), its error's noun, and how it is stored
+_PATH = ((str, os.PathLike), "a path", lambda v: str(os.fspath(v)))
+_RULES = {int: (numbers.Integral, "an integer", int), float: (numbers.Real, "a real number", float),
+          str: (str, "a string", str), str | Path: _PATH, str | Path | None: _PATH}
+
+
+def _plain(name, kind, value):
+    """Check a setting's value against the rule for its annotation `kind`, and return the plain value to store."""
+    if kind == tuple[int, ...]:  # a tuple or list whose items pass the int rule
+        if isinstance(value, (tuple, list)):
+            with contextlib.suppress(ValueError):
+                return tuple(_plain(name, int, v) for v in value)
+        raise ValueError(f"{name} must be integers, got {value!r}")
+    if value is None and kind == str | Path | None:  # an optional path left unset
+        return None
+    accepted, noun, store = _RULES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return store(value)
+
+
+def _store_plain(config) -> None:
+    """Store each field of a frozen dataclass whose real annotation, f.type, has a rule as _plain returns it."""
+    for f in fields(config):
+        if f.type in (*_RULES, tuple[int, ...]):
+            object.__setattr__(config, f.name, _plain(f.name, f.type, getattr(config, f.name)))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labelled feature rows.
@@ -39,7 +67,7 @@ class Dataset:
     176 MiB of bytes rather than 1.4 GiB of float64. Any other dtype is
     coerced to float64, without a copy when it already is float64. Read
     features through `rows`, which returns float64. Labels must have an
-    integer dtype (not bool) and are stored as int64; class_count (no bool) as an int.
+    integer dtype (not bool) and are stored as int64; name and class_count meet _plain's rule.
     """
 
     features: np.ndarray  # (n, dim) uint8 bytes or float64; read through rows()
@@ -48,6 +76,7 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
+        _store_plain(self)
         features = np.asarray(self.features)
         if features.dtype != np.uint8:
             features = features.astype(np.float64, copy=False)
@@ -63,17 +92,12 @@ class Dataset:
             raise ValueError(f"dataset {self.name!r} has no rows; training and evaluation need rows")
         if features.shape[1] == 0:
             raise ValueError(f"dataset {self.name!r} has no feature columns")
-        # numpy integers pass; floats, strings and bools do not (harness's rule: importing it here is a cycle)
-        if isinstance(self.class_count, bool) or not isinstance(self.class_count, numbers.Integral):
-            raise ValueError(f"class_count must be an integer, got {self.class_count!r}")
-        class_count = int(self.class_count)
-        if class_count < 1:
+        if self.class_count < 1:
             raise ValueError("class_count must be positive")
-        if labels.min() < 0 or labels.max() >= class_count:
-            raise ValueError(f"labels must lie in [0, {class_count})")
+        if labels.min() < 0 or labels.max() >= self.class_count:
+            raise ValueError(f"labels must lie in [0, {self.class_count})")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "class_count", class_count)
 
     @property
     def n(self) -> int:

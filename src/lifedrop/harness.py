@@ -2,7 +2,7 @@
 
 RegularizerConfig, BlobSpec and RunConfig are plain dataclasses, each field
 a setting read with its real annotation and held as a plain Python value by
-one rule (see _plain: no bool is a number, a path is a str). The driver
+one rule (see data._plain: no bool is a number, a path is a str). The driver
 wires data, network, and regularizer into the training loop, records
 per-epoch metrics, writes lattice snapshots and a rerunnable manifest, and
 summarizes finished runs. A run is a deterministic function of its config:
@@ -10,8 +10,6 @@ identical configs produce byte-identical metrics files and snapshots.
 """
 
 import ast
-import contextlib
-import numbers
 import os
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -19,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from lifedrop import nn
-from lifedrop.data import Dataset, batches, load_cifar10, make_blobs
+from lifedrop.data import Dataset, _plain, _store_plain, batches, load_cifar10, make_blobs
 from lifedrop.lattice import init_random, write_pbm
 from lifedrop.regularizers import alpha_affine, classical_gain, gaussian_gain, on_epoch_end_dynamic
 
@@ -44,34 +42,6 @@ def derive_seed(master: int, *key) -> int:
             parts.append(int(item) & 0xFFFFFFFF)
     ss = np.random.SeedSequence(entropy=int(master) & 0xFFFFFFFFFFFFFFFF, spawn_key=tuple(parts))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-# per annotation: the types a value may be (numpy scalars are, a bool never is), its error's noun, and how it is stored
-_PATH = ((str, os.PathLike), "a path", lambda v: str(os.fspath(v)))
-_RULES = {int: (numbers.Integral, "an integer", int), float: (numbers.Real, "a real number", float),
-          str: (str, "a string", str), str | Path: _PATH, str | Path | None: _PATH}
-
-
-def _plain(name, kind, value):
-    """Check a setting's value against the rule for its annotation `kind`, and return the plain value to store."""
-    if kind == tuple[int, ...]:  # a tuple or list whose items pass the int rule
-        if isinstance(value, (tuple, list)):
-            with contextlib.suppress(ValueError):
-                return tuple(_plain(name, int, v) for v in value)
-        raise ValueError(f"{name} must be integers, got {value!r}")
-    if value is None and kind == str | Path | None:  # an optional path left unset
-        return None
-    accepted, noun, store = _RULES[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
-    return store(value)
-
-
-def _store_plain(config) -> None:
-    """Store each field of a frozen config whose real annotation, f.type, has a rule as _plain returns it."""
-    for f in fields(config):
-        if f.type in (*_RULES, tuple[int, ...]):
-            object.__setattr__(config, f.name, _plain(f.name, f.type, getattr(config, f.name)))
 
 
 @dataclass(frozen=True)
@@ -477,5 +447,5 @@ def compare(run_dirs, out_path):
                      max(m.val_acc for m in history), last.gap))
     lines = [SUMMARY_HEADER]
     lines += (",".join([name, kind, *(f"{v:.6f}" for v in values)]) for name, kind, *values in rows)
-    Path(out_path).write_text("\n".join(lines) + "\n", newline="\n")
+    Path(out_path).expanduser().write_text("\n".join(lines) + "\n", newline="\n")
     return rows

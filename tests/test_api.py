@@ -1,9 +1,11 @@
 """The package's public names: what a user of run and compare needs, each resolving and star-importing.
 
-Also the module attributes perfbench's tracer wraps, which must all exist, and the one module that derives seeds.
+Also the module attributes perfbench's tracer wraps, which must all exist, the one module that derives seeds,
+and the mutation ledger's texts, each of which must appear once in its file.
 """
 
 import importlib
+import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 import lifedrop
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MUTANTS = Path(__file__).resolve().with_name("mutants.py")
 
 PUBLIC = {
     "BlobSpec", "Dataset", "EpochMetrics", "RegularizerConfig", "RunConfig", "compare", "load_cifar10", "run",
@@ -49,6 +52,14 @@ def test_harness_holds_every_setting():
     # one module defines every config, so one type rule checks them all
     settings = (lifedrop.RegularizerConfig, lifedrop.BlobSpec, lifedrop.RunConfig)
     assert {cls.__module__ for cls in settings} == {"lifedrop.harness"}
+
+
+def test_every_mutant_text_is_in_its_file():
+    # a rewritten line leaves its mutant stale, which the mutation ledger refuses before judging any mutant
+    spec = importlib.util.spec_from_file_location("mutants", MUTANTS)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.unmatched() == []
 
 
 def test_every_perfbench_trace_hook_exists(monkeypatch):

@@ -38,6 +38,11 @@ class TestDatasetValue:
         with pytest.raises(ValueError, match="class_count must be"):
             Dataset(np.zeros((2, 3)), np.array([0, 1]), name="x", class_count=class_count)
 
+    @pytest.mark.parametrize("name", [3, None, b"x"])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError, match="name must be a string"):
+            Dataset(np.zeros((2, 3)), np.array([0, 1]), name=name, class_count=2)
+
     def test_numpy_class_count_stored_as_int(self):
         d = Dataset(np.zeros((2, 3)), np.array([0, 1]), name="x", class_count=np.int64(2))
         assert type(d.class_count) is int and d.class_count == 2

@@ -713,6 +713,17 @@ class TestCompare:
         rows = compare(["~/runs/a"], tmp_path / "s.csv")
         assert [row[:2] for row in rows] == [("a", "none")]
 
+    def test_tilde_out_path_expanded(self, tmp_path, monkeypatch):
+        # "~/summary.csv" was taken literally and raised FileNotFoundError for the missing ./~ directory
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(tmp_path)
+        d = self.fake_run(tmp_path, "r", 0.5, 0.4)
+        rows = compare([d], "~/summary.csv")
+        assert (home / "summary.csv").read_text().splitlines()[1].startswith("r,dynamic,")
+        assert len(rows) == 1 and not (tmp_path / "~").exists()
+
 
 class TestCli:
     def test_train_synthetic_succeeds(self, tmp_path, capsys):
