@@ -103,17 +103,16 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def rows(self, index, out=None) -> np.ndarray:
+    def rows(self, index) -> np.ndarray:
         """float64 feature rows `features[index]`.
 
-        Bytes are converted as byte / 255.0, into `out` when it is given.
-        float64 features are returned as stored (a view for a slice) and
-        leave `out` unused.
+        Bytes come back as a new array, byte / 255.0; float64 features
+        are returned as stored (a view for a slice).
         """
         x = self.features[index]
         if x.dtype != np.uint8:
             return x
-        return np.divide(x, 255.0, out=out, dtype=np.float64)
+        return np.divide(x, 255.0, dtype=np.float64)
 
 
 def _read_batch_file(path: Path, records: np.ndarray) -> None:

@@ -166,7 +166,7 @@ def resolve_architecture(arch) -> tuple[int, ...]:
 
 
 # Rows evaluate reads at a time: float64 features in place, where wider chunks run
-# faster, and stored bytes through a float64 buffer, 6 MiB at 3,072 features.
+# faster, and stored bytes scaled into a new float64 chunk, 6 MiB at 3,072 features.
 _FLOAT_CHUNK = 1024
 _BYTE_CHUNK = 256
 
@@ -175,22 +175,19 @@ def evaluate(network, dataset: Dataset) -> tuple[float, float]:
     """Full-dataset loss and accuracy with every regularizer disabled.
 
     Float64 features are read in place, _FLOAT_CHUNK rows at a time.
-    Stored bytes are scaled into one reused float64 buffer of at most
-    _BYTE_CHUNK rows. The loss is one reduction over the per-row losses
-    of all rows, so it does not depend on the chunk size. The loss reads
-    each row's probability of its labelled class.
+    Stored bytes are scaled _BYTE_CHUNK rows at a time, each chunk freed
+    before the next is read. The loss is one reduction over the per-row
+    losses of all rows, so it does not depend on the chunk size. The loss
+    reads each row's probability of its labelled class.
     """
     true_probs = np.empty(dataset.n)
     hits = 0
-    chunk, buffer = _FLOAT_CHUNK, None
-    if dataset.features.dtype == np.uint8:
-        chunk = _BYTE_CHUNK
-        buffer = np.empty((min(chunk, dataset.n), dataset.features.shape[1]))
+    chunk = _BYTE_CHUNK if dataset.features.dtype == np.uint8 else _FLOAT_CHUNK
     for start in range(0, dataset.n, chunk):
         y = dataset.labels[start:start + chunk]
-        out = None if buffer is None else buffer[:y.shape[0]]
-        x = dataset.rows(slice(start, start + chunk), out=out)
+        x = dataset.rows(slice(start, start + chunk))
         probs = nn.forward(network, x)[0]  # the trace goes now, not when the next chunk's is made
+        del x  # one chunk alive at a time: free these rows before the next are read
         true_probs[start:start + y.shape[0]] = probs[np.arange(y.shape[0]), y]
         hits += int((probs.argmax(axis=1) == y).sum())
     return nn.cross_entropy(true_probs), hits / dataset.n

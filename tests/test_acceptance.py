@@ -348,6 +348,19 @@ def test_dynamic_beats_classical_on_tail_train_accuracy(capsys, training_compari
             "margins " + "/".join(f"{m * 100:+.1f}pp" for m in margins) + " (bar +10pp on each seed)")
 
 
+def test_dynamic_board_drop_share(capsys, training_comparison):
+    """arch1, 30 epochs: each dynamic seed's mean live_mask_fraction, the share of hidden units its board drops.
+
+    Shown, not gated: it is what the +10 pp bars above set against
+    classical dropout at rate 0.5.
+    """
+    histories, _ = training_comparison
+    shares = [statistics.fmean(m.live_mask_fraction for m in dynamic) for dynamic, _ in _arch1_pairs(histories)]
+    _report(capsys, True, "dynamic board's mean dropped share of units (arch1)",
+            "/".join(f"{s:.3f}" for s in shares) + f" over {COMPARISON_EPOCHS} epochs per seed, "
+            "against classical rate 0.5 (shown, not gated)")
+
+
 def test_deep_net_generalization_gap(capsys, training_comparison):
     """arch3, 30 epochs: median dynamic gap <= median classical gap + 3 points.
 

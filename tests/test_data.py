@@ -96,13 +96,15 @@ class TestRows:
         idx = np.random.default_rng(3).permutation(32)
         assert d.rows(idx).tobytes() == expected[idx].tobytes()
 
-    def test_out_receives_the_rows(self):
+    def test_bytes_come_back_as_a_new_array_on_every_call(self):
+        # evaluate frees each chunk before reading the next, so no call may hand back memory another holds
         d, expected = self.dataset()
-        out = np.full((32, 8), np.nan)
-        got = d.rows(slice(None), out=out)
-        assert got is out and out.tobytes() == expected.tobytes()
-        short = np.full((3, 8), np.nan)
-        assert d.rows(slice(29, None), out=short).tobytes() == expected[29:].tobytes()
+        for index in (slice(None), slice(29, None)):  # the full set, and a short last slice
+            first, second = d.rows(index), d.rows(index)
+            assert first.dtype == second.dtype == np.float64
+            assert first.tobytes() == second.tobytes() == expected[index].tobytes()
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, d.features) and not np.shares_memory(second, d.features)
 
 
 class TestMakeBlobs:

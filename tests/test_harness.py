@@ -96,7 +96,7 @@ class TestEvaluate:
     def test_chunking_does_not_change_results(self, monkeypatch):
         net = nn.init_network([8], 8, 3, seed=3)
         data = make_blobs(40, 3, 8, 4.0, seed=4)
-        # stored bytes: 120 rows leave a 1-row last chunk in the reused buffer
+        # stored bytes: 120 rows leave a 1-row last chunk
         stored = Dataset(np.round(data.features * 255).astype(np.uint8), data.labels,
                          name="bytes", class_count=3)
         widened = Dataset(stored.features.astype(np.float64) / 255.0, data.labels,
@@ -112,7 +112,7 @@ class TestEvaluate:
 
     def test_stored_bytes_are_scaled_through_256_rows(self):
         # 2,000 rows of 3,072 bytes would take 47 MiB as float64; evaluation
-        # holds one 256-row float64 buffer (6 MiB) and a chunk's small activations
+        # holds one 256-row float64 chunk (6 MiB) and its small activations at a time
         n, dim = 2000, 3072
         data = Dataset(np.random.default_rng(5).integers(0, 256, size=(n, dim), dtype=np.uint8),
                        np.arange(n) % 10, name="bytes", class_count=10)
