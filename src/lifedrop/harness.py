@@ -10,7 +10,9 @@ identical configs produce byte-identical metrics files and snapshots.
 """
 
 import ast
+import contextvars
 import os
+import threading
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -165,32 +167,51 @@ def resolve_architecture(arch) -> tuple[int, ...]:
     return widths
 
 
-# Rows evaluate reads at a time: float64 features in place, where wider chunks run
-# faster, and stored bytes scaled into a new float64 chunk, 6 MiB at 3,072 features.
-_FLOAT_CHUNK = 1024
-_BYTE_CHUNK = 256
+# Rows one thread reads at a time. Stored bytes are scaled into a new float64 chunk and
+# float64 features are read in place, so evaluate's two threads keep at most 256 float64
+# rows alive: 6 MiB at 3,072 features.
+_CHUNK = 128
 
 
 def evaluate(network, dataset: Dataset) -> tuple[float, float]:
     """Full-dataset loss and accuracy with every regularizer disabled.
 
-    Float64 features are read in place, _FLOAT_CHUNK rows at a time.
-    Stored bytes are scaled _BYTE_CHUNK rows at a time, each chunk freed
-    before the next is read. The loss is one reduction over the per-row
-    losses of all rows, so it does not depend on the chunk size. The loss
-    reads each row's probability of its labelled class.
+    The rows are read _CHUNK at a time, each chunk freed before its thread
+    reads the next. The calling thread takes the even chunks and one helper
+    thread the odd ones, so numpy's matmuls and ufuncs, which release the
+    GIL, run on two cores. The helper runs in a copy of the caller's
+    context, so the caller's np.errstate holds in it too, and its error,
+    if any, is raised here once it has finished. Each thread writes its
+    rows' probability of their labelled class into one array and counts its
+    own hits; the loss is one reduction over that array, so neither the
+    chunk size nor the split changes a bit of the result.
     """
     true_probs = np.empty(dataset.n)
-    hits = 0
-    chunk = _BYTE_CHUNK if dataset.features.dtype == np.uint8 else _FLOAT_CHUNK
-    for start in range(0, dataset.n, chunk):
-        y = dataset.labels[start:start + chunk]
-        x = dataset.rows(slice(start, start + chunk))
-        probs = nn.forward(network, x)[0]  # the trace goes now, not when the next chunk's is made
-        del x  # one chunk alive at a time: free these rows before the next are read
-        true_probs[start:start + y.shape[0]] = probs[np.arange(y.shape[0]), y]
-        hits += int((probs.argmax(axis=1) == y).sum())
-    return nn.cross_entropy(true_probs), hits / dataset.n
+    hits = [0, 0]
+    errors = []
+
+    def take(part: int) -> None:  # chunks part, part + 2, part + 4, ...
+        for start in range(part * _CHUNK, dataset.n, 2 * _CHUNK):
+            y = dataset.labels[start:start + _CHUNK]
+            probs = nn.forward(network, dataset.rows(slice(start, start + _CHUNK)))[0]  # frees rows and trace
+            true_probs[start:start + y.shape[0]] = probs[np.arange(y.shape[0]), y]
+            hits[part] += int((probs.argmax(axis=1) == y).sum())
+
+    def helper() -> None:
+        try:
+            take(1)
+        except BaseException as exc:  # raised again in the caller, once the helper is joined
+            errors.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        take(0)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return nn.cross_entropy(true_probs), sum(hits) / dataset.n
 
 
 def _load_data(config: RunConfig, data: tuple[Dataset, Dataset] | None) -> tuple[Dataset, Dataset]:

@@ -43,9 +43,11 @@ MUTANTS = (
      "_reorder_units(network, [np.argsort(order) for order in orders])", "_reorder_units(network, orders)"),
     ("alpha offset built with keep for ~keep", "regularizers.py",
      "b + (a * ALPHA_PRIME) * ~keep", "b + (a * ALPHA_PRIME) * keep"),
-    ("byte evaluation chunk of 1,024 rows", "harness.py", "_BYTE_CHUNK = 256", "_BYTE_CHUNK = 1024"),
-    ("evaluation keeps the previous chunk alive", "harness.py",
-     "        del x  # one chunk alive at a time", "        # one chunk alive at a time"),
+    ("evaluation chunk of 1,024 rows", "harness.py", "_CHUNK = 128", "_CHUNK = 1024"),
+    ("the helper's error is swallowed", "harness.py", "    if errors:", "    if False:"),
+    ("the helper runs outside the caller's context", "harness.py",
+     "threading.Thread(target=contextvars.copy_context().run, args=(helper,))", "threading.Thread(target=helper)"),
+    ("both threads take the even chunks", "harness.py", "            take(1)", "            take(0)"),
     ("reactivate writes into its input", "lattice.py", "out = cells.copy()", "out = cells"),
     ("divergence check always passes", "harness.py",
      "finite = np.isfinite([train_loss, val_loss]).all()", "finite = True"),

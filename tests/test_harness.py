@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -95,24 +97,61 @@ class TestEvaluate:
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         net = nn.init_network([8], 8, 3, seed=3)
-        data = make_blobs(40, 3, 8, 4.0, seed=4)
-        # stored bytes: 120 rows leave a 1-row last chunk
+        data = make_blobs(19, 3, 8, 4.0, seed=4)
+        # stored bytes: 57 rows make 9 chunks of 7, an odd count whose last chunk is 1 row
         stored = Dataset(np.round(data.features * 255).astype(np.uint8), data.labels,
                          name="bytes", class_count=3)
         widened = Dataset(stored.features.astype(np.float64) / 255.0, data.labels,
                           name="floats", class_count=3)
-        assert stored.n % 7 == 1
+        assert stored.n % 14 == 1
+
+        def serial(ds):  # one forward pass over every row, on the calling thread
+            probs = nn.forward(net, ds.rows(slice(None)))[0]
+            hits = int((probs.argmax(axis=1) == ds.labels).sum())
+            return nn.cross_entropy(probs[np.arange(ds.n), ds.labels]), hits / ds.n
+
+        datasets = (data, stored, widened)
         results = {}
-        for chunk in (7, 4096):
-            monkeypatch.setattr(harness, "_FLOAT_CHUNK", chunk)
-            monkeypatch.setattr(harness, "_BYTE_CHUNK", chunk)
-            results[chunk] = [evaluate(net, ds) for ds in (data, stored, widened)]
+        for chunk in (7, 4096):  # 4,096 rows: one chunk, and the helper thread takes none
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            results[chunk] = [evaluate(net, ds) for ds in datasets]
             assert results[chunk][1] == results[chunk][2]
-        assert results[7] == results[4096]
+        assert results[7] == results[4096] == [serial(ds) for ds in datasets]
+
+    def test_the_threads_lose_no_update_when_they_switch_often(self, monkeypatch):
+        net = nn.init_network([8], 8, 3, seed=3)
+        data = make_blobs(19, 3, 8, 4.0, seed=4)
+        expected = evaluate(net, data)  # 57 rows: one chunk, all on the calling thread
+        monkeypatch.setattr(harness, "_CHUNK", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a count the threads shared would lose an update now and then
+        try:
+            results = {evaluate(net, data) for _ in range(200)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {expected}
+
+    def test_a_helper_thread_error_is_raised_after_the_helper_ends(self, monkeypatch):
+        net = nn.init_network([8], 8, 3, seed=1)
+        data = make_blobs(10, 3, 8, 4.0, seed=2)
+        monkeypatch.setattr(harness, "_CHUNK", 8)  # 30 rows: the helper takes chunks 1 and 3
+        forward = nn.forward
+
+        def failing(network, batch, scales=None):
+            if np.array_equal(batch, data.features[8:16]):
+                raise RuntimeError("chunk 1 failed")
+            return forward(network, batch, scales)
+
+        monkeypatch.setattr(nn, "forward", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            evaluate(net, data)
+        assert threading.active_count() == threads
 
     def test_stored_bytes_are_scaled_through_256_rows(self):
-        # 2,000 rows of 3,072 bytes would take 47 MiB as float64; evaluation
-        # holds one 256-row float64 chunk (6 MiB) and its small activations at a time
+        # 2,000 rows of 3,072 bytes would take 47 MiB as float64; evaluation's two
+        # threads hold one 128-row float64 chunk each (6 MiB together) and their small
+        # activations at a time, and tracemalloc counts both threads' allocations
         n, dim = 2000, 3072
         data = Dataset(np.random.default_rng(5).integers(0, 256, size=(n, dim), dtype=np.uint8),
                        np.arange(n) % 10, name="bytes", class_count=10)
@@ -768,18 +807,21 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_divergence_is_one_error_line(self, tmp_path, capsys):
-        out, numpy_errors = tmp_path / "run", np.geterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["train", "--synthetic", "--arch", "custom:8", "--reg", "dynamic", "--epochs", "3",
-                         "--lr", "1e300", "--blob-per-class", "20", "--blob-classes", "3", "--blob-dim", "8",
-                         "--out", str(out)])
-        assert code == 1
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        err = capsys.readouterr().err
-        assert err.startswith("error: training diverged in epoch 1:") and err.count("\n") == 1
-        assert (out / "metrics.csv").read_text().splitlines()[1].startswith("1,nan,nan,nan,nan,nan,")
-        assert np.geterr() == numpy_errors  # a library caller keeps its own settings
+        numpy_errors = np.geterr()
+        # 60 rows are one evaluation chunk; 300 rows are three, and the helper thread takes the second
+        for per_class in ("20", "100"):
+            out = tmp_path / f"run-{per_class}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["train", "--synthetic", "--arch", "custom:8", "--reg", "dynamic", "--epochs", "3",
+                             "--lr", "1e300", "--blob-per-class", per_class, "--blob-classes", "3",
+                             "--blob-dim", "8", "--out", str(out)])
+            assert code == 1
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            err = capsys.readouterr().err
+            assert err.startswith("error: training diverged in epoch 1:") and err.count("\n") == 1
+            assert (out / "metrics.csv").read_text().splitlines()[1].startswith("1,nan,nan,nan,nan,nan,")
+            assert np.geterr() == numpy_errors  # a library caller keeps its own settings
 
     def test_compare_end_to_end(self, tmp_path, capsys):
         for seed in ("1", "2"):
