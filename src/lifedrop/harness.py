@@ -167,6 +167,31 @@ def resolve_architecture(arch) -> tuple[int, ...]:
     return widths
 
 
+def _started(fn, *args):
+    """Start fn(*args) on a new thread and return its join(), which waits
+    for the thread and gives back fn's result or raises its error. The
+    thread runs in a copy of the caller's context, so the caller's
+    np.errstate holds in it too."""
+    outcome = {}
+
+    def call() -> None:
+        try:
+            outcome["result"] = fn(*args)
+        except BaseException as exc:  # raised again by join, in the caller
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(call,))
+    thread.start()
+
+    def join():
+        thread.join()
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["result"]
+
+    return join
+
+
 # Rows one thread reads at a time. Stored bytes are scaled into a new float64 chunk and
 # float64 features are read in place, so evaluate's two threads keep at most 256 float64
 # rows alive: 6 MiB at 3,072 features.
@@ -178,17 +203,15 @@ def evaluate(network, dataset: Dataset) -> tuple[float, float]:
 
     The rows are read _CHUNK at a time, each chunk freed before its thread
     reads the next. The calling thread takes the even chunks and one helper
-    thread the odd ones, so numpy's matmuls and ufuncs, which release the
-    GIL, run on two cores. The helper runs in a copy of the caller's
-    context, so the caller's np.errstate holds in it too, and its error,
-    if any, is raised here once it has finished. Each thread writes its
-    rows' probability of their labelled class into one array and counts its
-    own hits; the loss is one reduction over that array, so neither the
-    chunk size nor the split changes a bit of the result.
+    thread (see _started) the odd ones, so numpy's matmuls and ufuncs, which
+    release the GIL, run on two cores; the helper's error, if any, is raised
+    here once it has finished. Each thread writes its rows' probability of
+    their labelled class into one array and counts its own hits; the loss
+    is one reduction over that array, so neither the chunk size nor the
+    split changes a bit of the result.
     """
     true_probs = np.empty(dataset.n)
     hits = [0, 0]
-    errors = []
 
     def take(part: int) -> None:  # chunks part, part + 2, part + 4, ...
         for start in range(part * _CHUNK, dataset.n, 2 * _CHUNK):
@@ -197,20 +220,11 @@ def evaluate(network, dataset: Dataset) -> tuple[float, float]:
             true_probs[start:start + y.shape[0]] = probs[np.arange(y.shape[0]), y]
             hits[part] += int((probs.argmax(axis=1) == y).sum())
 
-    def helper() -> None:
-        try:
-            take(1)
-        except BaseException as exc:  # raised again in the caller, once the helper is joined
-            errors.append(exc)
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-    thread.start()
+    join = _started(take, 1)
     try:
         take(0)
     finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+        join()
     return nn.cross_entropy(true_probs), sum(hits) / dataset.n
 
 
@@ -268,7 +282,12 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     board step), which carries the monitor as (best validation loss,
     epochs since it improved) and reads patience and min_delta from the
     RunConfig that checks them. Baselines draw fresh (gain, offset) noise per batch.
-    The dynamic board, a (hidden layers, width) uint8 array, is
+    One helper thread (see _started) prepares batch b + 1 (its gather, byte
+    scaling, labels and noise draws, none of which reads the weights) while
+    this thread trains batch b, so two batches are alive at a time. Each
+    batch's noise comes from its own (epoch, batch)-keyed generator, so the
+    split changes no value; an error in either thread is raised once the
+    helper has finished. The dynamic board, a (hidden layers, width) uint8 array, is
     generation e - 1 in epoch e and fixed for the epoch, so the epoch
     moves each layer's kept units to the front of (W, b), trains the
     leading blocks as views (a dropped unit would get zero gradient) and
@@ -315,10 +334,19 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
             trained = [(w[:rows, :cols], b[:rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
 
         shuffle_seed = derive_seed(batch_seed, "shuffle", epoch)
-        for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, shuffle_seed)):
-            _, trace = nn.forward(trained, x, scales=_batch_scales(widths, reg, x.shape[0], epoch, batch_i))
-            nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
-            del x, y, trace  # one batch alive at a time: free this one before the next is gathered
+        prepared = ((x, y, _batch_scales(widths, reg, x.shape[0], epoch, batch_i))
+                    for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, shuffle_seed)))
+        join = _started(next, prepared, None)
+        while (batch := join()) is not None:
+            join = _started(next, prepared, None)  # batch b + 1, prepared while this thread trains batch b
+            try:
+                x, y, scales = batch
+                _, trace = nn.forward(trained, x, scales=scales)
+                nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
+            except BaseException:
+                join()  # no helper outlives run
+                raise
+            del batch, x, y, scales, trace  # free batch b before batch b + 2 is gathered
 
         del trained  # the views go, and the units go back to the order evaluation and the board use
         if board is not None:

@@ -44,10 +44,15 @@ MUTANTS = (
     ("alpha offset built with keep for ~keep", "regularizers.py",
      "b + (a * ALPHA_PRIME) * ~keep", "b + (a * ALPHA_PRIME) * keep"),
     ("evaluation chunk of 1,024 rows", "harness.py", "_CHUNK = 128", "_CHUNK = 1024"),
-    ("the helper's error is swallowed", "harness.py", "    if errors:", "    if False:"),
+    ("the helper's error is swallowed", "harness.py", '        if "error" in outcome:', "        if False:"),
     ("the helper runs outside the caller's context", "harness.py",
-     "threading.Thread(target=contextvars.copy_context().run, args=(helper,))", "threading.Thread(target=helper)"),
-    ("both threads take the even chunks", "harness.py", "            take(1)", "            take(0)"),
+     "threading.Thread(target=contextvars.copy_context().run, args=(call,))", "threading.Thread(target=call)"),
+    ("both evaluation threads take the even chunks", "harness.py", "_started(take, 1)", "_started(take, 0)"),
+    ("the caller's error no longer joins the helper", "harness.py",
+     "                join()  # no helper outlives run", "                pass"),
+    ("the helper keys the batch it prepares on the batch already training", "harness.py",
+     "enumerate(batches(train_ds, config.batch_size, shuffle_seed))",
+     "enumerate(batches(train_ds, config.batch_size, shuffle_seed), -1)"),
     ("reactivate writes into its input", "lattice.py", "out = cells.copy()", "out = cells"),
     ("divergence check always passes", "harness.py",
      "finite = np.isfinite([train_loss, val_loss]).all()", "finite = True"),

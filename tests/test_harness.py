@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -167,7 +168,8 @@ class TestEvaluate:
     def test_dynamic_epoch_trains_the_network_in_place(self, tmp_path, monkeypatch):
         # An all-dead board keeps every unit, so a copy of the kept units would be
         # a second network. The peak above the datasets, read when evaluation
-        # starts, holds one network, one batch, dW0 and one batch's activations.
+        # starts, holds one network, two batches (the one training and the next,
+        # prepared on the helper thread), dW0 and one batch's activations.
         n, dim, widths, classes, batch = 128, 4096, (128, 128), 10, 64
         rng = np.random.default_rng(7)
         train = Dataset(rng.random((n, dim)), np.arange(n) % classes, name="train", class_count=classes)
@@ -191,7 +193,7 @@ class TestEvaluate:
         dims = (dim, *widths, classes)
         network = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])) * 8
         activations = batch * sum(dims[1:]) * 8
-        assert peaks[0] < network + batch * dim * 8 + widths[0] * dim * 8 + activations + (1 << 20)
+        assert peaks[0] < network + 2 * batch * dim * 8 + widths[0] * dim * 8 + activations + (1 << 20)
 
     def test_dimension_mismatch_rejected(self):
         net = nn.init_network([8], 9, 3, seed=1)
@@ -450,6 +452,68 @@ class TestRun:
         run(cfg_b)
         for name in ("metrics.csv", "lattice_epoch_1.pbm", "lattice_epoch_2.pbm"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["classical", "alpha", "dynamic"])
+    def test_the_helper_thread_changes_no_byte(self, tmp_path, monkeypatch, kind):
+        def synchronous(fn, *args):  # the helper's work done on the calling thread, when it is started
+            result = fn(*args)
+            return lambda: result
+
+        def artifacts(name):  # every file the run writes, by name
+            out = tmp_path / name
+            run(blob_config(tmp_path, reg_kind=kind, rate=0.2, output_dir=out, epochs=4))
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        threaded = artifacts("threaded")
+        assert len(threaded) == (4 if kind == "dynamic" else 2)  # manifest, metrics and two snapshots
+        monkeypatch.setattr(harness, "_started", synchronous)
+        assert artifacts("serial") == threaded
+
+    def test_a_batch_preparation_error_is_raised_after_the_helper_ends(self, tmp_path, monkeypatch):
+        calls, gain = [], harness.classical_gain
+
+        def failing(*args):  # one draw per batch, 3 batches an epoch: call 5 prepares epoch 2's batch 1
+            calls.append(threading.current_thread())
+            if len(calls) == 5:
+                raise RuntimeError("draw 5 failed")
+            return gain(*args)
+
+        run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=1, output_dir=tmp_path / "one"))
+        monkeypatch.setattr(harness, "classical_gain", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw 5 failed"):
+            run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=3))
+        assert threading.active_count() == threads
+        assert threading.current_thread() not in calls  # every batch was prepared on a helper
+        assert (tmp_path / "run" / "metrics.csv").read_bytes() == (tmp_path / "one" / "metrics.csv").read_bytes()
+
+    def test_a_training_step_error_is_raised_after_the_helper_ends(self, tmp_path, monkeypatch):
+        failed, prepared = threading.Event(), []
+        calls, gain, backward = [], harness.classical_gain, nn.backward
+
+        def failing(*args):  # backward 5 trains epoch 2's batch 1, while draw 6 prepares its batch 2
+            calls.append(None)
+            if len(calls) == 5:
+                failed.set()
+                raise RuntimeError("backward 5 failed")
+            return backward(*args)
+
+        def draw(*args):  # draw 6 prepares epoch 2's batch 2, and is still running when backward 5 fails
+            if len(prepared) == 5 and failed.wait(timeout=5):
+                time.sleep(0.05)
+            result = gain(*args)
+            prepared.append(failed.is_set())
+            return result
+
+        run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=1, output_dir=tmp_path / "one"))
+        monkeypatch.setattr(nn, "backward", failing)
+        monkeypatch.setattr(harness, "classical_gain", draw)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="backward 5 failed"):
+            run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=3))
+        assert prepared == [False] * 5 + [True]  # draw 6 finished before run raised
+        assert threading.active_count() == threads
+        assert (tmp_path / "run" / "metrics.csv").read_bytes() == (tmp_path / "one" / "metrics.csv").read_bytes()
 
     def test_baseline_kinds_all_train(self, tmp_path):
         for kind in ("classical", "gaussian", "alpha"):
