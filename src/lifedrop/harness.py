@@ -10,9 +10,8 @@ identical configs produce byte-identical metrics files and snapshots.
 """
 
 import ast
-import contextvars
+import functools
 import os
-import threading
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -167,48 +166,23 @@ def resolve_architecture(arch) -> tuple[int, ...]:
     return widths
 
 
-def _started(fn, *args):
-    """Start fn(*args) on a new thread and return its join(), which waits
-    for the thread and gives back fn's result or raises its error. The
-    thread runs in a copy of the caller's context, so the caller's
-    np.errstate holds in it too."""
-    outcome = {}
-
-    def call() -> None:
-        try:
-            outcome["result"] = fn(*args)
-        except BaseException as exc:  # raised again by join, in the caller
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(call,))
-    thread.start()
-
-    def join():
-        thread.join()
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["result"]
-
-    return join
-
-
 # Rows one thread reads at a time. Stored bytes are scaled into a new float64 chunk and
 # float64 features are read in place, so evaluate's two threads keep at most 256 float64
 # rows alive: 6 MiB at 3,072 features.
 _CHUNK = 128
 
 
-def evaluate(network, dataset: Dataset) -> tuple[float, float]:
+def evaluate(network, dataset: Dataset, helper) -> tuple[float, float]:
     """Full-dataset loss and accuracy with every regularizer disabled.
 
     The rows are read _CHUNK at a time, each chunk freed before its thread
-    reads the next. The calling thread takes the even chunks and one helper
-    thread (see _started) the odd ones, so numpy's matmuls and ufuncs, which
-    release the GIL, run on two cores; the helper's error, if any, is raised
-    here once it has finished. Each thread writes its rows' probability of
-    their labelled class into one array and counts its own hits; the loss
-    is one reduction over that array, so neither the chunk size nor the
-    split changes a bit of the result.
+    reads the next. The calling thread takes the even chunks and the one
+    worker of `helper`, run's executor, the odd ones, so numpy's matmuls and
+    ufuncs, which release the GIL, run on two cores; the worker's error, if
+    any, is raised here once it has finished. Each thread writes its rows'
+    probability of their labelled class into one array and counts its own
+    hits; the loss is one reduction over that array, so neither the chunk
+    size nor the split changes a bit of the result.
     """
     true_probs = np.empty(dataset.n)
     hits = [0, 0]
@@ -220,11 +194,9 @@ def evaluate(network, dataset: Dataset) -> tuple[float, float]:
             true_probs[start:start + y.shape[0]] = probs[np.arange(y.shape[0]), y]
             hits[part] += int((probs.argmax(axis=1) == y).sum())
 
-    join = _started(take, 1)
-    try:
-        take(0)
-    finally:
-        join()
+    odd = helper.submit(take, 1)
+    take(0)
+    odd.result()
     return nn.cross_entropy(true_probs), sum(hits) / dataset.n
 
 
@@ -282,12 +254,13 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     board step), which carries the monitor as (best validation loss,
     epochs since it improved) and reads patience and min_delta from the
     RunConfig that checks them. Baselines draw fresh (gain, offset) noise per batch.
-    One helper thread (see _started) prepares batch b + 1 (its gather, byte
-    scaling, labels and noise draws, none of which reads the weights) while
-    this thread trains batch b, so two batches are alive at a time. Each
-    batch's noise comes from its own (epoch, batch)-keyed generator, so the
-    split changes no value; an error in either thread is raised once the
-    helper has finished. The dynamic board, a (hidden layers, width) uint8 array, is
+    One worker thread, which takes the caller's numpy error settings when
+    run starts, prepares batch b + 1 (its gather, byte scaling, labels and
+    noise draws, none of which reads the weights) while this thread trains
+    batch b, so two batches are alive at a time; it also takes half of each
+    evaluation. Each batch's noise comes from its own (epoch, batch)-keyed
+    generator, so the split changes no value; an error in either thread is
+    raised once the worker has finished. The dynamic board, a (hidden layers, width) uint8 array, is
     generation e - 1 in epoch e and fixed for the epoch, so the epoch
     moves each layer's kept units to the front of (W, b), trains the
     leading blocks as views (a dropped unit would get zero gradient) and
@@ -302,6 +275,8 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
     manifest.txt is written, so a refused run leaves no files. Zero epochs
     write the manifest alone.
     """
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging, about 5 ms
+
     reg = config.regularizer
     train_ds, val_ds = _load_data(config, data)  # before any file is written
     out = Path(config.output_dir).expanduser()
@@ -320,53 +295,51 @@ def run(config: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> list[
 
     batch_seed = derive_seed(config.seed, "batches")
     history: list[EpochMetrics] = []
-    for epoch in range(1, config.epochs + 1):
-        trained = network
-        live_frac = 0.0
-        if board is not None:
-            live_frac = float(board.mean())
-            if epoch in config.snapshot_epochs:
-                write_pbm(board, out / f"lattice_epoch_{epoch}.pbm")
-            # kept units (board 0) to the front, in their order; kept[l] counts layer l's inputs
-            orders = [np.argsort(row, kind="stable") for row in board]
-            _reorder_units(network, orders)
-            kept = [width, *(row.size - int(row.sum()) for row in board), classes]
-            trained = [(w[:rows, :cols], b[:rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
+    with ThreadPoolExecutor(1, initializer=functools.partial(np.seterr, **np.geterr())) as helper:
+        for epoch in range(1, config.epochs + 1):
+            trained = network
+            live_frac = 0.0
+            if board is not None:
+                live_frac = float(board.mean())
+                if epoch in config.snapshot_epochs:
+                    write_pbm(board, out / f"lattice_epoch_{epoch}.pbm")
+                # kept units (board 0) to the front, in their order; kept[l] counts layer l's inputs
+                orders = [np.argsort(row, kind="stable") for row in board]
+                _reorder_units(network, orders)
+                kept = [width, *(row.size - int(row.sum()) for row in board), classes]
+                trained = [(w[:rows, :cols], b[:rows]) for (w, b), cols, rows in zip(network, kept, kept[1:])]
 
-        shuffle_seed = derive_seed(batch_seed, "shuffle", epoch)
-        prepared = ((x, y, _batch_scales(widths, reg, x.shape[0], epoch, batch_i))
-                    for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, shuffle_seed)))
-        join = _started(next, prepared, None)
-        while (batch := join()) is not None:
-            join = _started(next, prepared, None)  # batch b + 1, prepared while this thread trains batch b
-            try:
+            shuffle_seed = derive_seed(batch_seed, "shuffle", epoch)
+            prepared = ((x, y, _batch_scales(widths, reg, x.shape[0], epoch, batch_i))
+                        for batch_i, (x, y) in enumerate(batches(train_ds, config.batch_size, shuffle_seed)))
+            pending = helper.submit(next, prepared, None)
+            while (batch := pending.result()) is not None:
+                pending = helper.submit(next, prepared, None)  # batch b + 1, prepared while this thread trains batch b
                 x, y, scales = batch
                 _, trace = nn.forward(trained, x, scales=scales)
                 nn.sgd_step(trained, nn.backward(trained, trace, y), config.learning_rate)
-            except BaseException:
-                join()  # no helper outlives run
-                raise
-            del batch, x, y, scales, trace  # free batch b before batch b + 2 is gathered
+                del batch, x, y, scales, trace  # free batch b before batch b + 2 is gathered
 
-        del trained  # the views go, and the units go back to the order evaluation and the board use
-        if board is not None:
-            _reorder_units(network, [np.argsort(order) for order in orders])
-        train_loss, train_acc = evaluate(network, train_ds)
-        val_loss, val_acc = evaluate(network, val_ds)
-        finite = np.isfinite([train_loss, val_loss]).all()
-        if not finite:  # argmax over NaN probabilities counts class 0, which is no accuracy
-            train_acc = val_acc = np.nan
-        reactivated = 0
-        if board is not None and finite:
-            revival_seed = derive_seed(reg.seed, "reactivate", epoch - 1)  # keyed on the board's generation
-            board, monitor, _, reactivated = on_epoch_end_dynamic(board, revival_seed, monitor, val_loss, config)
-        history.append(EpochMetrics(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
-                                    train_acc=train_acc, val_acc=val_acc,
-                                    gap=train_acc - val_acc, live_mask_fraction=live_frac,
-                                    reactivated_cells=reactivated))
-        write_metrics(history, out / "metrics.csv")
-        if not finite:
-            raise ValueError(f"training diverged in epoch {epoch}: train loss {train_loss}, validation loss {val_loss}")
+            del trained  # the views go, and the units go back to the order evaluation and the board use
+            if board is not None:
+                _reorder_units(network, [np.argsort(order) for order in orders])
+            train_loss, train_acc = evaluate(network, train_ds, helper)
+            val_loss, val_acc = evaluate(network, val_ds, helper)
+            finite = np.isfinite([train_loss, val_loss]).all()
+            if not finite:  # argmax over NaN probabilities counts class 0, which is no accuracy
+                train_acc = val_acc = np.nan
+            reactivated = 0
+            if board is not None and finite:
+                revival_seed = derive_seed(reg.seed, "reactivate", epoch - 1)  # keyed on the board's generation
+                board, monitor, _, reactivated = on_epoch_end_dynamic(board, revival_seed, monitor, val_loss, config)
+            history.append(EpochMetrics(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
+                                        train_acc=train_acc, val_acc=val_acc,
+                                        gap=train_acc - val_acc, live_mask_fraction=live_frac,
+                                        reactivated_cells=reactivated))
+            write_metrics(history, out / "metrics.csv")
+            if not finite:
+                raise ValueError(f"training diverged in epoch {epoch}: "
+                                 f"train loss {train_loss}, validation loss {val_loss}")
     return history
 
 

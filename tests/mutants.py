@@ -44,12 +44,14 @@ MUTANTS = (
     ("alpha offset built with keep for ~keep", "regularizers.py",
      "b + (a * ALPHA_PRIME) * ~keep", "b + (a * ALPHA_PRIME) * keep"),
     ("evaluation chunk of 1,024 rows", "harness.py", "_CHUNK = 128", "_CHUNK = 1024"),
-    ("the helper's error is swallowed", "harness.py", '        if "error" in outcome:', "        if False:"),
-    ("the helper runs outside the caller's context", "harness.py",
-     "threading.Thread(target=contextvars.copy_context().run, args=(call,))", "threading.Thread(target=call)"),
-    ("both evaluation threads take the even chunks", "harness.py", "_started(take, 1)", "_started(take, 0)"),
-    ("the caller's error no longer joins the helper", "harness.py",
-     "                join()  # no helper outlives run", "                pass"),
+    ("the worker runs without the caller's numpy error settings", "harness.py",
+     "ThreadPoolExecutor(1, initializer=functools.partial(np.seterr, **np.geterr()))", "ThreadPoolExecutor(1)"),
+    ("both evaluation threads take the even chunks", "harness.py", "helper.submit(take, 1)", "helper.submit(take, 0)"),
+    ("the executor is never shut down", "harness.py",
+     "with ThreadPoolExecutor(1, initializer=functools.partial(np.seterr, **np.geterr())) as helper:",
+     "for helper in [ThreadPoolExecutor(1, initializer=functools.partial(np.seterr, **np.geterr()))]:"),
+    ("batch b still alive when batch b + 2 is gathered", "harness.py",
+     "del batch, x, y, scales, trace", "del trace"),
     ("the helper keys the batch it prepares on the batch already training", "harness.py",
      "enumerate(batches(train_ds, config.batch_size, shuffle_seed))",
      "enumerate(batches(train_ds, config.batch_size, shuffle_seed), -1)"),

@@ -1,12 +1,14 @@
 """The package's public names: what a user of run and compare needs, each resolving and star-importing.
 
 Also the module attributes perfbench's tracer wraps, which must all exist, the one module that derives seeds,
-and the mutation ledger's texts, each of which must appear once in its file.
+the mutation ledger's texts, each of which must appear once in its file, and the modules an import loads.
 """
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,6 +39,16 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from lifedrop import *", namespace)  # a stale __all__ entry raises AttributeError here
     assert set(lifedrop.__all__) <= set(namespace)
+
+
+def test_importing_the_package_loads_no_executor():
+    # run imports concurrent.futures when called: loaded at import, it and the logging it pulls in
+    # would add about 5 ms to every process that imports lifedrop
+    code = "import sys, lifedrop; print(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()))"
+    path = os.pathsep.join([str(Path(lifedrop.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_only_harness_derives_seeds():

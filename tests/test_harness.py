@@ -1,5 +1,6 @@
 """Experiment-driver tests: run loop, metrics files, manifests, CLI."""
 
+import concurrent.futures
 import math
 import re
 import sys
@@ -7,6 +8,8 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,31 @@ def blob_config(tmp_path, reg_kind="none", **kw):
     # int(): a float run seed is for RunConfig to refuse, not the regularizer
     reg = RegularizerConfig(kind=reg_kind, seed=int(defaults["seed"]), **reg_fields)
     return RunConfig(regularizer=reg, **defaults)
+
+
+@pytest.fixture
+def helper():
+    """An executor like run's, for the tests that call evaluate themselves."""
+    with ThreadPoolExecutor(1) as executor:
+        yield executor
+
+
+class Synchronous:
+    """ThreadPoolExecutor's stand-in: each submitted call runs on the calling thread, when submitted."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestResolveArchitecture:
@@ -74,29 +102,29 @@ class TestEvaluate:
         return Dataset(rng.random((n, dim)), np.arange(n) % classes, name="bal",
                        class_count=classes)
 
-    def test_uniform_predictor_closed_form(self):
+    def test_uniform_predictor_closed_form(self, helper):
         # zero weights -> uniform probabilities; argmax ties resolve to class
         # 0, which holds a tenth of a balanced dataset
         net = self.uniform_network(6, 10)
         data = self.balanced_dataset(100, 6, 10)
-        loss, acc = evaluate(net, data)
+        loss, acc = evaluate(net, data, helper)
         assert abs(loss - math.log(10)) < 1e-9
         assert acc == 0.1
 
-    def test_confident_correct_single_sample(self):
+    def test_confident_correct_single_sample(self, helper):
         net = self.uniform_network(6, 10)
         net[1] = (np.zeros((10, 4)), np.r_[50.0, np.zeros(9)])
         data = Dataset(np.random.default_rng(1).random((1, 6)), np.array([0]), name="one",
                        class_count=10)
-        loss, acc = evaluate(net, data)
+        loss, acc = evaluate(net, data, helper)
         assert loss < 1e-9 and acc == 1.0
 
-    def test_deterministic(self):
+    def test_deterministic(self, helper):
         net = nn.init_network([8], 8, 3, seed=1)
         data = make_blobs(30, 3, 8, 4.0, seed=2)
-        assert evaluate(net, data) == evaluate(net, data)
+        assert evaluate(net, data, helper) == evaluate(net, data, helper)
 
-    def test_chunking_does_not_change_results(self, monkeypatch):
+    def test_chunking_does_not_change_results(self, helper, monkeypatch):
         net = nn.init_network([8], 8, 3, seed=3)
         data = make_blobs(19, 3, 8, 4.0, seed=4)
         # stored bytes: 57 rows make 9 chunks of 7, an odd count whose last chunk is 1 row
@@ -115,19 +143,19 @@ class TestEvaluate:
         results = {}
         for chunk in (7, 4096):  # 4,096 rows: one chunk, and the helper thread takes none
             monkeypatch.setattr(harness, "_CHUNK", chunk)
-            results[chunk] = [evaluate(net, ds) for ds in datasets]
+            results[chunk] = [evaluate(net, ds, helper) for ds in datasets]
             assert results[chunk][1] == results[chunk][2]
         assert results[7] == results[4096] == [serial(ds) for ds in datasets]
 
-    def test_the_threads_lose_no_update_when_they_switch_often(self, monkeypatch):
+    def test_the_threads_lose_no_update_when_they_switch_often(self, helper, monkeypatch):
         net = nn.init_network([8], 8, 3, seed=3)
         data = make_blobs(19, 3, 8, 4.0, seed=4)
-        expected = evaluate(net, data)  # 57 rows: one chunk, all on the calling thread
+        expected = evaluate(net, data, helper)  # 57 rows: one chunk, all on the calling thread
         monkeypatch.setattr(harness, "_CHUNK", 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # a count the threads shared would lose an update now and then
         try:
-            results = {evaluate(net, data) for _ in range(200)}
+            results = {evaluate(net, data, helper) for _ in range(200)}
         finally:
             sys.setswitchinterval(interval)
         assert results == {expected}
@@ -136,20 +164,22 @@ class TestEvaluate:
         net = nn.init_network([8], 8, 3, seed=1)
         data = make_blobs(10, 3, 8, 4.0, seed=2)
         monkeypatch.setattr(harness, "_CHUNK", 8)  # 30 rows: the helper takes chunks 1 and 3
-        forward = nn.forward
+        forward, failed_on = nn.forward, []
 
         def failing(network, batch, scales=None):
             if np.array_equal(batch, data.features[8:16]):
+                failed_on.append(threading.current_thread())
                 raise RuntimeError("chunk 1 failed")
             return forward(network, batch, scales)
 
         monkeypatch.setattr(nn, "forward", failing)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="chunk 1 failed"):
-            evaluate(net, data)
+        with ThreadPoolExecutor(1) as helper, pytest.raises(RuntimeError, match="chunk 1 failed"):
+            evaluate(net, data, helper)
         assert threading.active_count() == threads
+        assert len(failed_on) == 1 and failed_on[0] is not threading.current_thread()  # raised on the worker
 
-    def test_stored_bytes_are_scaled_through_256_rows(self):
+    def test_stored_bytes_are_scaled_through_256_rows(self, helper):
         # 2,000 rows of 3,072 bytes would take 47 MiB as float64; evaluation's two
         # threads hold one 128-row float64 chunk each (6 MiB together) and their small
         # activations at a time, and tracemalloc counts both threads' allocations
@@ -159,7 +189,7 @@ class TestEvaluate:
         net = nn.init_network([16], dim, 10, seed=6)
         tracemalloc.start()
         try:
-            evaluate(net, data)
+            evaluate(net, data, helper)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,9 +206,9 @@ class TestEvaluate:
         val = Dataset(rng.random((16, dim)), np.arange(16) % classes, name="val", class_count=classes)
         peaks = []
 
-        def spy(network, dataset):
+        def spy(network, dataset, helper):
             peaks.append(tracemalloc.get_traced_memory()[1])
-            return evaluate(network, dataset)
+            return evaluate(network, dataset, helper)
 
         monkeypatch.setattr(harness, "init_random", lambda rows, cols, *args, **kw: np.zeros((rows, cols), np.uint8))
         monkeypatch.setattr(harness, "evaluate", spy)
@@ -195,10 +225,10 @@ class TestEvaluate:
         activations = batch * sum(dims[1:]) * 8
         assert peaks[0] < network + 2 * batch * dim * 8 + widths[0] * dim * 8 + activations + (1 << 20)
 
-    def test_dimension_mismatch_rejected(self):
+    def test_dimension_mismatch_rejected(self, helper):
         net = nn.init_network([8], 9, 3, seed=1)
         with pytest.raises(ValueError):
-            evaluate(net, make_blobs(10, 3, 8, 4.0, seed=2))
+            evaluate(net, make_blobs(10, 3, 8, 4.0, seed=2), helper)
 
 
 class TestMetricsFile:
@@ -394,11 +424,11 @@ class TestRun:
     def test_metrics_file_keeps_the_epochs_before_a_failure(self, tmp_path, monkeypatch):
         calls = []
 
-        def spy(network, dataset):
+        def spy(network, dataset, helper):
             calls.append(dataset.name)
             if len(calls) > 4:  # epochs 1 and 2 evaluate twice each; epoch 3 fails
                 raise FloatingPointError("diverged")
-            return evaluate(network, dataset)
+            return evaluate(network, dataset, helper)
 
         two_epochs = blob_config(tmp_path, epochs=2, output_dir=tmp_path / "two")
         run(two_epochs)
@@ -455,10 +485,6 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", ["classical", "alpha", "dynamic"])
     def test_the_helper_thread_changes_no_byte(self, tmp_path, monkeypatch, kind):
-        def synchronous(fn, *args):  # the helper's work done on the calling thread, when it is started
-            result = fn(*args)
-            return lambda: result
-
         def artifacts(name):  # every file the run writes, by name
             out = tmp_path / name
             run(blob_config(tmp_path, reg_kind=kind, rate=0.2, output_dir=out, epochs=4))
@@ -466,8 +492,23 @@ class TestRun:
 
         threaded = artifacts("threaded")
         assert len(threaded) == (4 if kind == "dynamic" else 2)  # manifest, metrics and two snapshots
-        monkeypatch.setattr(harness, "_started", synchronous)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Synchronous)  # run imports it when called
         assert artifacts("serial") == threaded
+
+    def test_no_third_training_batch_is_alive(self, tmp_path, monkeypatch):
+        # run on one thread gathers batch b + 2 at a fixed point, once batch b has trained
+        gathered, batches = [], harness.batches
+
+        def tracked(*args):
+            for x, y in batches(*args):
+                assert all(ref() is None for ref in gathered[:-1])  # every block but batch b + 1's is freed
+                gathered.append(weakref.ref(x))
+                yield x, y
+
+        monkeypatch.setattr(harness, "batches", tracked)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Synchronous)
+        run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=2, batch_size=32))
+        assert len(gathered) == 12  # 180 rows: 6 batches an epoch
 
     def test_a_batch_preparation_error_is_raised_after_the_helper_ends(self, tmp_path, monkeypatch):
         calls, gain = [], harness.classical_gain
@@ -478,9 +519,9 @@ class TestRun:
                 raise RuntimeError("draw 5 failed")
             return gain(*args)
 
+        threads = threading.active_count()  # before both runs: a worker the first left unjoined exits at any time
         run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=1, output_dir=tmp_path / "one"))
         monkeypatch.setattr(harness, "classical_gain", failing)
-        threads = threading.active_count()
         with pytest.raises(RuntimeError, match="draw 5 failed"):
             run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=3))
         assert threading.active_count() == threads
@@ -505,10 +546,10 @@ class TestRun:
             prepared.append(failed.is_set())
             return result
 
+        threads = threading.active_count()  # before both runs: a worker the first left unjoined exits at any time
         run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=1, output_dir=tmp_path / "one"))
         monkeypatch.setattr(nn, "backward", failing)
         monkeypatch.setattr(harness, "classical_gain", draw)
-        threads = threading.active_count()
         with pytest.raises(RuntimeError, match="backward 5 failed"):
             run(blob_config(tmp_path, reg_kind="classical", rate=0.2, epochs=3))
         assert prepared == [False] * 5 + [True]  # draw 6 finished before run raised

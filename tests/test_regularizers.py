@@ -141,10 +141,10 @@ class TestDynamicMask:
         # plain, unscaled forward pass, which differs from the masked one.
         evaluated = []
 
-        def spy(network, dataset):
+        def spy(network, dataset, helper):
             # run updates its arrays in place, so keep a copy of what was evaluated
             evaluated.append(([(w.copy(), b.copy()) for w, b in network], dataset))
-            return evaluate(network, dataset)
+            return evaluate(network, dataset, helper)
 
         monkeypatch.setattr(harness, "evaluate", spy)
         blobs = BlobSpec(per_class=60, classes=3, dim=8, separation=8.0)
@@ -173,9 +173,9 @@ class TestDynamicMask:
         cells = np.array(cells, dtype=np.uint8)
         evaluated = []
 
-        def spy(network, dataset):
+        def spy(network, dataset, helper):
             evaluated.append([(w.copy(), b.copy()) for w, b in network])
-            return evaluate(network, dataset)
+            return evaluate(network, dataset, helper)
 
         monkeypatch.setattr(harness, "init_random", lambda *args, **kwargs: cells)
         monkeypatch.setattr(harness, "evaluate", spy)
